@@ -4,8 +4,6 @@ trace purity.
 Layered like a small compiler front half:
 
 - :mod:`~repro.checkers.flow.descriptors` — the abstract value domain.
-- :mod:`~repro.checkers.flow.fingerprint` — structural matching of
-  inlined ``random.Random`` replicas against the library reference.
 - :mod:`~repro.checkers.flow.summary` — one cached, JSON-serialisable
   effect summary per module.
 - :mod:`~repro.checkers.flow.project` — linking, type resolution, the

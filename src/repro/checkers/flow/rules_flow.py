@@ -7,8 +7,6 @@ FLOW102  fault-injection draws are short-circuited by a zero-probability
          guard before the stream is touched.
 FLOW103  no stochastic work hides under a tracer-enabled guard unless
          the ``else`` branch mirrors the same call.
-FLOW104  inlined hot-path replicas of ``random.Random.gauss`` /
-         ``choice`` stay bit-exact with their library reference.
 """
 
 from __future__ import annotations
@@ -143,26 +141,3 @@ class DrawUnderTraceGuard(ProjectRule):
                     "consume different stream state",
                 )
 
-
-@register_project
-class DriftedReplica(ProjectRule):
-    rule_id = "FLOW104"
-    summary = "inlined RNG replicas must stay bit-exact with the library"
-    hint = (
-        "restore the canonical gauss/choice window (see "
-        "random.Random.gauss and _randbelow_with_getrandbits) or call "
-        "the rng method directly"
-    )
-
-    def check(self, project: ProjectContext) -> Iterator[ProjectFinding]:
-        for func_key, func in project.iter_functions():
-            if not _in_flow_scope(func_key[0]):
-                continue
-            for site in func.replica_sites:
-                if site.ok:
-                    continue
-                yield _mk(
-                    project, self, func_key, site.line, site.col,
-                    f"inlined {site.kind} replica in {func.qual} does not "
-                    f"match the random.Random reference: {site.detail}",
-                )

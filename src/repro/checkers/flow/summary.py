@@ -2,12 +2,12 @@
 
 A :class:`ModuleSummary` captures everything the project-wide rules need
 from one file — functions with their call sites, attribute writes,
-return values, tracer guards, zero-probability guards, and inlined-RNG
-fingerprint sites — as descriptor trees (see
-:mod:`repro.checkers.flow.descriptors`).  Because the summary depends
-only on the file's own text, it caches by content hash: the whole-
-program link/fixpoint in :mod:`repro.checkers.flow.project` is then
-cheap enough to rerun from cached summaries on every tier-1 invocation.
+return values, tracer guards, and zero-probability guards — as
+descriptor trees (see :mod:`repro.checkers.flow.descriptors`).  Because
+the summary depends only on the file's own text, it caches by content
+hash: the whole-program link/fixpoint in
+:mod:`repro.checkers.flow.project` is then cheap enough to rerun from
+cached summaries on every tier-1 invocation.
 
 Bump :data:`SUMMARY_VERSION` whenever the extraction changes shape; the
 cache keys on it.
@@ -28,14 +28,13 @@ from repro.checkers.flow.descriptors import (
     to_json,
     walk_shallow,
 )
-from repro.checkers.flow.fingerprint import ReplicaMatcher, ReplicaSite
 from repro.checkers.suppress import (
     collect_file_suppressions,
     collect_suppressions,
 )
 
 #: Cache format version; bump on any change to extraction or descriptors.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: Type descriptors derived from annotations:
 #: ``("cls", dotted) | ("optional", t) | ("dict", k, v) | ("list", t) |
@@ -161,7 +160,6 @@ class FuncSummary:
     prob_guards: List[Tuple[int, int, str]] = dataclasses.field(
         default_factory=list
     )
-    replica_sites: List[ReplicaSite] = dataclasses.field(default_factory=list)
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -180,7 +178,6 @@ class FuncSummary:
             "returns": [[ln, to_json(d)] for ln, d in self.returns],
             "guards": [g.to_json() for g in self.guards],
             "prob_guards": [list(p) for p in self.prob_guards],
-            "replica_sites": [s.to_json() for s in self.replica_sites],
         }
 
     @classmethod
@@ -201,9 +198,6 @@ class FuncSummary:
             returns=[(ln, from_json(d)) for ln, d in data["returns"]],
             guards=[GuardInfo.from_json(g) for g in data["guards"]],
             prob_guards=[tuple(p) for p in data["prob_guards"]],
-            replica_sites=[
-                ReplicaSite.from_json(s) for s in data["replica_sites"]
-            ],
         )
 
 
@@ -458,7 +452,6 @@ class _FunctionWalker:
         self,
         builder: "_ModuleBuilder",
         summary: FuncSummary,
-        node: ast.AST,
         env: Dict[str, Desc],
     ) -> None:
         self.builder = builder
@@ -466,15 +459,11 @@ class _FunctionWalker:
         self.env = env
         self.order = 0
         self.tguard_stack: List[int] = []
-        self.matcher = ReplicaMatcher(node, builder.imports)
 
     # -- statement walk --------------------------------------------------
 
     def walk_body(self, stmts: List[ast.stmt]) -> None:
-        for index, stmt in enumerate(stmts):
-            self.matcher.try_gauss_window(stmts, index, self.env)
-            if isinstance(stmt, ast.While):
-                self.matcher.try_choice_loop(stmts, index, self.env)
+        for stmt in stmts:
             self._walk_stmt(stmt)
 
     def _walk_stmt(self, stmt: ast.stmt) -> None:
@@ -850,13 +839,12 @@ class _ModuleBuilder:
                 env[name] = SELF if kind == "method" else OPAQUE
             else:
                 env[name] = ("param", name)
-        walker = _FunctionWalker(self, summary, node, env)
+        walker = _FunctionWalker(self, summary, env)
         for default in list(node.args.defaults) + [
             d for d in node.args.kw_defaults if d is not None
         ]:
             walker._visit_expr(default)
         walker.walk_body(list(node.body))
-        summary.replica_sites = walker.matcher.finish()
 
     def add_lambda(
         self, node: ast.Lambda, qual: str, closure_env: Dict[str, Desc]
@@ -878,10 +866,9 @@ class _ModuleBuilder:
         env = dict(closure_env)
         for name in params:
             env[name] = ("param", name)
-        walker = _FunctionWalker(self, summary, node, env)
+        walker = _FunctionWalker(self, summary, env)
         desc = walker._visit_expr(node.body)
         summary.returns.append((node.lineno, desc))
-        summary.replica_sites = walker.matcher.finish()
 
 
 def _decorator_names(node: ast.AST) -> List[str]:

@@ -50,6 +50,20 @@ def _day_type(value: str) -> DayType:
     return DayType(value.lower())
 
 
+class _PositiveInt(argparse.Action):
+    """``--runs``/``--workers``/``--zones``: an integer >= 1.
+
+    Used with ``type=int``; a zero or negative count is a usage error
+    (exit 2) at parse time rather than a silent single run or serial
+    fallback.
+    """
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            parser.error(f"{option_string} must be >= 1")
+        setattr(namespace, self.dest, value)
+
+
 def _make_runner(workers: int) -> SweepRunner:
     """A process-backed runner when >1 worker is requested, else serial."""
     if workers > 1:
@@ -156,14 +170,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         vms_per_host=args.vms_per_host,
         faults=fault_profile_by_name(args.fault_profile),
     )
-    try:
-        policy = _resolve_cli_policy(args)
-    except ConfigError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    if args.zones < 1:
-        print("--zones must be >= 1", file=sys.stderr)
-        return 2
+    policy = _resolve_cli_policy(args)
     if args.zones > 1 and (args.week or args.runs > 1):
         print("--zones shards a single day: drop --week and --runs",
               file=sys.stderr)
@@ -303,14 +310,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not gammas:
             print("--gamma must name at least one Γ value", file=sys.stderr)
             return 2
-        try:
-            rows_by_name = gamma_sweep(
-                config, gammas, _day_type(args.day), baselines=policies,
-                runs=args.runs, base_seed=args.seed, runner=runner,
-            )
-        except ConfigError as error:
-            print(str(error), file=sys.stderr)
-            return 2
+        rows_by_name = gamma_sweep(
+            config, gammas, _day_type(args.day), baselines=policies,
+            runs=args.runs, base_seed=args.seed, runner=runner,
+        )
         print(format_table(
             ["policy", f"savings ({counts[0]} cons hosts)"],
             [(name, f"{format_percent(point.mean_savings)}"
@@ -520,60 +523,56 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     config = _equiv_config(args)
     runner = _make_runner(args.workers)
     battery = BatteryConfig(family_alpha=args.alpha)
-    try:
-        if args.action == "selftest":
-            mutants = args.mutants.split(",") if args.mutants else None
-            report = run_selftest(
-                config,
-                args.policy,
-                _day_type(args.day),
-                root_seed=args.seed,
-                ensemble_size=args.ensemble_size,
-                battery_config=battery,
-                mutants=mutants,
-                runner=runner,
-            )
-            print(report.render())
-            if args.report:
-                with open(args.report, "w", encoding="utf-8") as handle:
-                    json.dump(report.as_dict(), handle, indent=2,
-                              sort_keys=True)
-                    handle.write("\n")
-                print(f"wrote {args.report}")
-            return 0 if report.passed else 1
-        if args.action == "baseline":
-            payload = build_baseline(
-                config,
-                args.policies.split(","),
-                _day_type(args.day),
-                root_seed=args.seed,
-                ensemble_size=args.ensemble_size,
-                runner=runner,
-            )
-            write_baseline(args.out, payload)
-            print(
-                f"wrote baseline for {len(payload['policies'])} policies "
-                f"x {payload['ensemble_size']} seeds to {args.out}"
-            )
-            return 0
-        # compare: certify the current engine against a committed baseline.
-        report = compare_to_baseline(
-            read_baseline(args.baseline),
+    if args.action == "selftest":
+        mutants = args.mutants.split(",") if args.mutants else None
+        report = run_selftest(
             config,
             args.policy,
+            _day_type(args.day),
+            root_seed=args.seed,
+            ensemble_size=args.ensemble_size,
             battery_config=battery,
+            mutants=mutants,
             runner=runner,
         )
-        print(report.render(verbose=args.verbose))
+        print(report.render())
         if args.report:
             with open(args.report, "w", encoding="utf-8") as handle:
-                json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
+                json.dump(report.as_dict(), handle, indent=2,
+                          sort_keys=True)
                 handle.write("\n")
             print(f"wrote {args.report}")
-        return 0 if report.equivalent else 1
-    except ConfigError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+        return 0 if report.passed else 1
+    if args.action == "baseline":
+        payload = build_baseline(
+            config,
+            args.policies.split(","),
+            _day_type(args.day),
+            root_seed=args.seed,
+            ensemble_size=args.ensemble_size,
+            runner=runner,
+        )
+        write_baseline(args.out, payload)
+        print(
+            f"wrote baseline for {len(payload['policies'])} policies "
+            f"x {payload['ensemble_size']} seeds to {args.out}"
+        )
+        return 0
+    # compare: certify the current engine against a committed baseline.
+    report = compare_to_baseline(
+        read_baseline(args.baseline),
+        config,
+        args.policy,
+        battery_config=battery,
+        runner=runner,
+    )
+    print(report.render(verbose=args.verbose))
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as handle:
+            json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {args.report}")
+    return 0 if report.equivalent else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -625,15 +624,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
-        "--runs", type=int, default=1,
+        "--runs", type=int, action=_PositiveInt, default=1,
         help="independent repetitions (fresh trace draw per run)",
     )
     simulate.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=int, action=_PositiveInt, default=1,
         help="worker processes for --runs > 1 or --zones > 1 (1 = serial)",
     )
     simulate.add_argument(
-        "--zones", type=int, default=1,
+        "--zones", type=int, action=_PositiveInt, default=1,
         help="shard the farm into this many availability zones "
              "(1 = byte-identical to the unsharded simulator)",
     )
@@ -691,10 +690,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--day", default="weekday", choices=["weekday", "weekend"]
     )
-    sweep.add_argument("--runs", type=int, default=2)
+    sweep.add_argument("--runs", type=int, action=_PositiveInt, default=2)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=int, action=_PositiveInt, default=1,
         help="worker processes for the sweep (1 = serial)",
     )
     sweep.add_argument(
@@ -793,7 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ensemble-size", type=int, default=20)
         p.add_argument("--alpha", type=float, default=0.05,
                        help="family-wise false-rejection budget")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=int, action=_PositiveInt,
+                       default=1,
                        help="worker processes for reference ensembles")
         p.add_argument("--home-hosts", type=int, default=4)
         p.add_argument("--consolidation-hosts", type=int, default=2)
@@ -845,8 +845,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits on usage errors (2) and --help (0); hand the
+        # status back like every other outcome.
+        return int(stop.code or 0)
+    try:
+        return args.handler(args)
+    except ConfigError as error:
+        print(str(error), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import enum
 import random
-from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
-from math import tau as _TWOPI
 from typing import Dict, List, Optional
 
 from repro.cluster.host import Host
@@ -273,24 +271,14 @@ class GreedyVacatePlanner:
 
         This is the planner's innermost loop — tens of thousands of VM
         placements per simulated day, most of which roll back when a
-        later sibling fails to fit — so the per-VM work (working-set
-        sampling, candidate scan, destination draw, shadow placement) is
-        fused inline, down to the RNG primitives: the Gaussian working-
-        set draw replays ``random.Random.gauss`` (the Box-Muller pair
-        algorithm, including its ``gauss_next`` cache), and the random
-        destination draw replays ``Random.choice`` (the ``getrandbits``
-        rejection loop).  Draw-for-draw it replays exactly what the
-        unfused ``sample``/``candidates``/``choice`` sequence did, in
-        the same order; only the Python call overhead is gone.
+        later sibling fails to fit — so the candidate scan and shadow
+        placement are fused inline.  The working-set and destination
+        draws go through ``WorkingSetSampler.sample`` and
+        ``rng.choice``, in VM order, one working set per idle VM and
+        one choice per random-strategy placement.
         """
         rng = self.rng
-        uniform01 = rng.random
-        getrandbits = rng.getrandbits
-        sampler = self.working_sets
-        ws_mean = sampler.mean_mib
-        ws_std = sampler.std_mib
-        ws_lo = sampler.min_mib
-        ws_hi = sampler.max_mib
+        sample_working_set = self.working_sets.sample
         min_idle = self.min_idle_intervals
         full_migrate_active = self.policy.full_migrate_active
         random_strategy = self.strategy is DestinationStrategy.RANDOM
@@ -329,32 +317,7 @@ class GreedyVacatePlanner:
                     for position, size in placed:
                         free[position] += size
                     return None
-                # Inlined WorkingSetSampler.sample: identical rejection
-                # loop, hence identical gauss draw count and values.
-                for _ in range(64):
-                    z = rng.gauss_next
-                    rng.gauss_next = None
-                    if z is None:
-                        x2pi = uniform01() * _TWOPI
-                        g2rad = _sqrt(-2.0 * _log(1.0 - uniform01()))
-                        z = _cos(x2pi) * g2rad
-                        rng.gauss_next = _sin(x2pi) * g2rad
-                    working_set = ws_mean + z * ws_std
-                    if ws_lo <= working_set <= ws_hi:
-                        break
-                else:
-                    z = rng.gauss_next
-                    rng.gauss_next = None
-                    if z is None:
-                        x2pi = uniform01() * _TWOPI
-                        g2rad = _sqrt(-2.0 * _log(1.0 - uniform01()))
-                        z = _cos(x2pi) * g2rad
-                        rng.gauss_next = _sin(x2pi) * g2rad
-                    working_set = ws_mean + z * ws_std
-                    if working_set < ws_lo:
-                        working_set = ws_lo
-                    elif working_set > ws_hi:
-                        working_set = ws_hi
+                working_set = sample_working_set(rng)
                 memory = vm.memory_mib
                 if working_set > memory:
                     working_set = memory
@@ -378,12 +341,7 @@ class GreedyVacatePlanner:
                         free[position] += size
                     return None
             if random_strategy:
-                n = len(candidates)
-                k = n.bit_length()
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                destination = candidates[r]
+                destination = rng.choice(candidates)
             else:
                 destination = self._choose(candidates, shadow)
             position = host_index[destination]

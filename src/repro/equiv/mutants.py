@@ -2,19 +2,18 @@
 
 A statistical-equivalence harness is only trustworthy if it *rejects
 broken engines* — acceptance alone could mean the tests are vacuous.
-Each :class:`Mutant` here perturbs a reference
-:class:`~repro.farm.simulation.FarmSimulation` through the two plane
-seams (a wrapped :class:`~repro.farm.planes.AccountingLedger`, a wrapped
-:class:`~repro.farm.planes.DecisionPlane`, or a biased RNG substream)
-into a specific class of defect a columnar reimplementation could
-plausibly introduce: miscalibrated power, dropped operations, skipped
-charges, biased draws.  ``tests/test_equiv_power.py`` asserts every
-registered mutant is rejected — and the identity mutant accepted — at
-the committed ensemble size.
+Each :class:`Mutant` here perturbs a constructed, unrun
+:class:`~repro.farm.simulation.FarmSimulation` with one specific defect
+an engine rewrite could plausibly introduce: miscalibrated power,
+dropped operations, skipped charges, biased draws.
+``tests/test_equiv_power.py`` asserts every registered mutant is
+rejected — and the identity mutant accepted — at the committed
+ensemble size.
 
-Mutants perturb only via public engine attributes (``sim.ledger``,
-``sim.decisions``, the jitter/traffic streams), so they double as a
-living catalogue of what the plane seams can intercept.
+Each defect is a one-method override: a
+:class:`~repro.farm.planes.FarmAccountingLedger` subclass installed as
+``sim.ledger``, one :class:`~repro.core.manager.ClusterManager` method
+wrapped on ``sim.manager``, or a biased traffic stream.
 """
 
 from __future__ import annotations
@@ -22,18 +21,16 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, Type
 
 from repro.core.plan import (
     ActivationAction,
     ActivationDecision,
     ConsolidationPlan,
-    ExchangePlan,
 )
 from repro.errors import ConfigError
-from repro.farm.planes import AccountingLedger, DecisionPlane
+from repro.farm.planes import FarmAccountingLedger
 from repro.farm.simulation import FarmSimulation
-from repro.migration.traffic import TrafficCategory
 from repro.simulator.randomness import derive_seed
 from repro.vm.machine import VirtualMachine
 
@@ -66,162 +63,52 @@ class Mutant:
 
 
 # ----------------------------------------------------------------------
-# plane wrappers
-# ----------------------------------------------------------------------
-
-
-class _LedgerTap(AccountingLedger):
-    """Transparent accounting-plane wrapper; subclasses break one write.
-
-    Shares the inner ledger's traffic/counter/fault objects so hot-path
-    local bindings (``self.ledger.traffic.add``) keep flowing through
-    whatever ``traffic`` attribute the tap exposes.
-    """
-
-    def __init__(self, inner: AccountingLedger) -> None:
-        self.inner = inner
-        self.traffic = inner.traffic
-        self.counters = inner.counters
-        self.faults = inner.faults
-
-    def set_power(self, entity: Hashable, watts: float, now: float) -> None:
-        self.inner.set_power(entity, watts, now)
-
-    def add_energy(self, entity: Hashable, joules: float) -> None:
-        self.inner.add_energy(entity, joules)
-
-    def set_state(self, entity: Hashable, state: str, now: float) -> None:
-        self.inner.set_state(entity, state, now)
-
-    def record_partial_migration(
-        self, descriptor_mib: float, upload_mib: float
-    ) -> None:
-        self.inner.record_partial_migration(descriptor_mib, upload_mib)
-
-    def record_on_demand(self, demand_mib: float) -> None:
-        self.inner.record_on_demand(demand_mib)
-
-    def finish(self, horizon: float) -> None:
-        self.inner.finish(horizon)
-
-    def total_joules(self) -> float:
-        return self.inner.total_joules()
-
-    def energy_joules(self, entity: Hashable) -> float:
-        return self.inner.energy_joules(entity)
-
-    def state_duration(self, entity: Hashable, state: str) -> float:
-        return self.inner.state_duration(entity, state)
-
-    def state_time_s(self) -> Dict[str, float]:
-        return self.inner.state_time_s()
-
-    def state_energy_j(self) -> Dict[str, float]:
-        return self.inner.state_energy_j()
-
-
-class _DecisionTap(DecisionPlane):
-    """Transparent decision-plane wrapper; subclasses bias one query."""
-
-    def __init__(self, inner: DecisionPlane) -> None:
-        self.inner = inner
-
-    def plan_exchanges(self) -> List[ExchangePlan]:
-        return self.inner.plan_exchanges()
-
-    def plan_consolidation(
-        self, compact_consolidation: bool = True
-    ) -> ConsolidationPlan:
-        return self.inner.plan_consolidation(
-            compact_consolidation=compact_consolidation
-        )
-
-    def decide_activation(self, vm: VirtualMachine) -> ActivationDecision:
-        return self.inner.decide_activation(vm)
-
-    def reroute_activation(self, vm: VirtualMachine) -> Optional[int]:
-        return self.inner.reroute_activation(vm)
-
-
-# ----------------------------------------------------------------------
 # the perturbations
 # ----------------------------------------------------------------------
 
 
-class _WattsPlusOne(_LedgerTap):
+class _WattsPlusOne(FarmAccountingLedger):
     """Every piecewise power segment is billed one watt high."""
 
     def set_power(self, entity: Hashable, watts: float, now: float) -> None:
-        self.inner.set_power(entity, watts + 1.0, now)
+        super().set_power(entity, watts + 1.0, now)
 
 
-class _SleepStateDropped(_LedgerTap):
+class _SleepStateDropped(FarmAccountingLedger):
     """Sleeping hosts are recorded as powered in the state ledger."""
 
     def set_state(self, entity: Hashable, state: str, now: float) -> None:
-        self.inner.set_state(
+        super().set_state(
             entity, "powered" if state == "sleeping" else state, now
         )
 
 
-class _DemandTrafficSkipped(_LedgerTap):
+class _DemandTrafficSkipped(FarmAccountingLedger):
     """Consolidation episodes never charge their demand-fault bytes."""
 
     def record_on_demand(self, demand_mib: float) -> None:
         pass
 
 
-class _SasUploadHalved(_LedgerTap):
+class _SasUploadHalved(FarmAccountingLedger):
     """Partial migrations charge half of the SAS memory upload."""
 
     def record_partial_migration(
         self, descriptor_mib: float, upload_mib: float
     ) -> None:
-        self.inner.record_partial_migration(descriptor_mib, upload_mib * 0.5)
-
-
-class _DroppedVacationMigration(_DecisionTap):
-    """The last migration of every vacation plan is silently dropped."""
-
-    def plan_consolidation(
-        self, compact_consolidation: bool = True
-    ) -> ConsolidationPlan:
-        plan = self.inner.plan_consolidation(
-            compact_consolidation=compact_consolidation
-        )
-        vacations = [
-            dataclasses.replace(
-                vacation, migrations=vacation.migrations[:-1]
-            )
-            for vacation in plan.vacations
-            if len(vacation.migrations) > 1
-        ]
-        return dataclasses.replace(plan, vacations=vacations)
-
-
-class _RehomingRefused(_DecisionTap):
-    """NewHome-style re-homings degrade into waking the home host."""
-
-    def decide_activation(self, vm: VirtualMachine) -> ActivationDecision:
-        decision = self.inner.decide_activation(vm)
-        if decision.action is ActivationAction.MIGRATE_NEW_HOME:
-            return ActivationDecision(
-                vm_id=decision.vm_id,
-                action=ActivationAction.WAKE_HOME_RETURN_ALL,
-                target_host_id=vm.home_id,
-            )
-        return decision
+        super().record_partial_migration(descriptor_mib, upload_mib * 0.5)
 
 
 class _BiasedUniform(random.Random):
     """A traffic stream whose uniform draws are warped toward 0.
 
-    The traffic samplers inline Box–Muller over ``rng.random()``; the
-    warp ``u -> u*u`` concentrates the phase draw near 0, where the
-    cosine is positive, so the synthesized gaussians acquire a
-    systematic +0.22-sigma mean shift and every sampled traffic volume
-    runs hot.  Seeded at construction from the engine's own derived
-    substream, so the defect is a pure function of the run seed.
+    ``random.Random.gauss`` builds each pair of variates by Box–Muller
+    over two ``random()`` draws; the warp ``u -> u*u`` concentrates the
+    phase draw near 0, where the cosine is positive, so the gaussians
+    acquire a systematic +0.22-sigma mean shift and every sampled
+    traffic volume runs hot.  Seeded at construction from the engine's
+    own derived substream, so the defect is a pure function of the run
+    seed.
     """
 
     def random(self) -> float:
@@ -231,28 +118,54 @@ class _BiasedUniform(random.Random):
         return u * u
 
 
-def _apply_watts_plus_one(sim: FarmSimulation) -> None:
-    sim.ledger = _WattsPlusOne(sim.ledger)
+def _ledger_mutant(
+    ledger_cls: Type[FarmAccountingLedger],
+) -> Callable[[FarmSimulation], None]:
+    """Install a fresh ``ledger_cls`` ledger over the unrun result.
 
+    Nothing writes to the ledger before ``run``, so the replacement
+    starts from the same empty state as the ledger it displaces.
+    """
 
-def _apply_sleep_state_dropped(sim: FarmSimulation) -> None:
-    sim.ledger = _SleepStateDropped(sim.ledger)
+    def apply(sim: FarmSimulation) -> None:
+        sim.ledger = ledger_cls(sim.result)
 
-
-def _apply_demand_traffic_skipped(sim: FarmSimulation) -> None:
-    sim.ledger = _DemandTrafficSkipped(sim.ledger)
-
-
-def _apply_sas_upload_halved(sim: FarmSimulation) -> None:
-    sim.ledger = _SasUploadHalved(sim.ledger)
+    return apply
 
 
 def _apply_dropped_vacation_migration(sim: FarmSimulation) -> None:
-    sim.decisions = _DroppedVacationMigration(sim.decisions)
+    """The last migration of every vacation plan is silently dropped."""
+    plan_consolidation = sim.manager.plan_consolidation
+
+    def dropped(compact_consolidation: bool = True) -> ConsolidationPlan:
+        plan = plan_consolidation(compact_consolidation=compact_consolidation)
+        vacations = [
+            dataclasses.replace(
+                vacation, migrations=vacation.migrations[:-1]
+            )
+            for vacation in plan.vacations
+            if len(vacation.migrations) > 1
+        ]
+        return dataclasses.replace(plan, vacations=vacations)
+
+    sim.manager.plan_consolidation = dropped
 
 
 def _apply_rehoming_refused(sim: FarmSimulation) -> None:
-    sim.decisions = _RehomingRefused(sim.decisions)
+    """NewHome-style re-homings degrade into waking the home host."""
+    decide_activation = sim.manager.decide_activation
+
+    def refused(vm: VirtualMachine) -> ActivationDecision:
+        decision = decide_activation(vm)
+        if decision.action is ActivationAction.MIGRATE_NEW_HOME:
+            return ActivationDecision(
+                vm_id=decision.vm_id,
+                action=ActivationAction.WAKE_HOME_RETURN_ALL,
+                target_host_id=vm.home_id,
+            )
+        return decision
+
+    sim.manager.decide_activation = refused
 
 
 def _apply_traffic_draw_biased(sim: FarmSimulation) -> None:
@@ -277,22 +190,22 @@ _REGISTRY: Tuple[Mutant, ...] = (
     Mutant(
         name="watts-plus-one",
         description="all piecewise power billed +1 W (calibration bias)",
-        apply=_apply_watts_plus_one,
+        apply=_ledger_mutant(_WattsPlusOne),
     ),
     Mutant(
         name="sleep-state-dropped",
         description="sleeping hosts logged as powered in the state ledger",
-        apply=_apply_sleep_state_dropped,
+        apply=_ledger_mutant(_SleepStateDropped),
     ),
     Mutant(
         name="demand-traffic-skipped",
         description="on-demand page traffic never charged",
-        apply=_apply_demand_traffic_skipped,
+        apply=_ledger_mutant(_DemandTrafficSkipped),
     ),
     Mutant(
         name="sas-upload-halved",
         description="partial migrations charge half the SAS upload",
-        apply=_apply_sas_upload_halved,
+        apply=_ledger_mutant(_SasUploadHalved),
     ),
     Mutant(
         name="dropped-vacation-migration",
@@ -315,14 +228,6 @@ _REGISTRY: Tuple[Mutant, ...] = (
 MUTANTS: Dict[str, Mutant] = {mutant.name: mutant for mutant in _REGISTRY}
 
 IDENTITY = MUTANTS["identity"]
-
-#: Referenced so a refactor dropping a traffic category the mutants
-#: depend on fails loudly at import time, not at battery time.
-_REQUIRED_CATEGORIES = (
-    TrafficCategory.ON_DEMAND_PAGES,
-    TrafficCategory.MEMORY_UPLOAD_SAS,
-)
-
 
 def mutant_names() -> List[str]:
     """Registered mutant names, in registration order."""

@@ -10,13 +10,7 @@ evaluation sweeps out over worker processes with deterministic results.
 
 from repro.farm.config import FarmConfig
 from repro.farm.metrics import FarmResult, DelaySample
-from repro.farm.planes import (
-    SURCHARGE_STATE,
-    AccountingLedger,
-    DecisionPlane,
-    FarmAccountingLedger,
-    ManagerDecisionPlane,
-)
+from repro.farm.planes import SURCHARGE_STATE, FarmAccountingLedger
 from repro.farm.runner import (
     RunOutcome,
     RunProgress,
@@ -53,9 +47,6 @@ __all__ = [
     "FarmConfig",
     "FarmResult",
     "DelaySample",
-    "DecisionPlane",
-    "ManagerDecisionPlane",
-    "AccountingLedger",
     "FarmAccountingLedger",
     "SURCHARGE_STATE",
     "FarmSimulation",

@@ -1,54 +1,29 @@
-"""The two-plane split: decisions vs accounting (DESIGN.md §16).
+"""The farm's accounting ledger (DESIGN.md §16).
 
-:class:`~repro.farm.simulation.FarmSimulation` historically reached
-straight into the :class:`~repro.core.manager.ClusterManager` for
-placement decisions and straight into its result's ledgers for
-bookkeeping.  This module narrows both couplings to explicit
-interfaces:
+:class:`FarmAccountingLedger` is where
+:class:`~repro.farm.simulation.FarmSimulation` records everything about
+a day: energy (piecewise power and lump surcharges), power-state
+residence time, migration traffic, operation counters, and fault
+counters.  Decisions never read it back.
 
-* :class:`DecisionPlane` — everything the engine asks a planner.  The
-  engine never calls the manager directly; a future engine (e.g. a
-  columnar fast mode) can substitute any conforming planner.
-* :class:`AccountingLedger` — everything the engine records: energy
-  (piecewise power and lump surcharges), power-state residence time,
-  migration traffic, operation counters, and fault counters.  A future
-  engine produces a :class:`~repro.farm.metrics.FarmResult` purely by
-  feeding a conforming ledger.
-
-The reference implementations (:class:`ManagerDecisionPlane`,
-:class:`FarmAccountingLedger`) are pure pass-throughs over the
-pre-split components, so routing the engine through them is
-byte-identical — the farm/gamma/trace goldens are NOT regenerated, and
-``tests/test_farm_planes.py`` proves stdout equality through the seams.
-
-As a new capability enabled by the split, the ledger additionally
-meters energy *per power state* (powered/sleeping/suspending/resuming
-plus transition surcharges).  This is separate, additive accumulation —
-it can never perturb the historical totals — and feeds the per-state
-energy split of :mod:`repro.equiv`'s run fingerprints.
+It wraps one :class:`~repro.energy.accounting.EnergyAccountant`, one
+:class:`~repro.energy.accounting.StateTimeTracker`, and the result's
+own traffic/counter/fault records.  On top of those it meters energy
+*per power state* (powered/sleeping/suspending/resuming plus transition
+surcharges).  That metering is separate and additive, so it never
+perturbs the totals, and it feeds the per-state energy split of
+:mod:`repro.equiv`'s run fingerprints.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List
 
-from repro.core.manager import ClusterManager
-from repro.core.plan import (
-    ActivationDecision,
-    ConsolidationPlan,
-    ExchangePlan,
-)
 from repro.energy.accounting import EnergyAccountant, StateTimeTracker
-from repro.farm.metrics import FarmResult, MigrationCounters
-from repro.faults.model import FaultCounters
-from repro.migration.traffic import TrafficCategory, TrafficLedger
-from repro.vm.machine import VirtualMachine
+from repro.farm.metrics import FarmResult
+from repro.migration.traffic import TrafficCategory
 
 __all__ = [
-    "DecisionPlane",
-    "ManagerDecisionPlane",
-    "AccountingLedger",
     "FarmAccountingLedger",
     "SURCHARGE_STATE",
 ]
@@ -59,138 +34,15 @@ __all__ = [
 SURCHARGE_STATE = "surcharge"
 
 
-class DecisionPlane(abc.ABC):
-    """What the simulation engine may ask of a planner — nothing more.
+class FarmAccountingLedger:
+    """Energy, state time, traffic, and counters for one simulated day.
 
-    Implementations must be **draw-disciplined**: any randomness they
-    use comes from streams handed to them at construction, never from
-    module-level state, so a run remains a pure function of
-    ``(config, policy, ensemble, seed)``.
-    """
-
-    @abc.abstractmethod
-    def plan_exchanges(self) -> List[ExchangePlan]:
-        """Periodic pass 1: idle consolidated full VMs to swap out."""
-
-    @abc.abstractmethod
-    def plan_consolidation(
-        self, compact_consolidation: bool = True
-    ) -> ConsolidationPlan:
-        """Periodic pass 2: host vacations plus optional compaction."""
-
-    @abc.abstractmethod
-    def decide_activation(self, vm: VirtualMachine) -> ActivationDecision:
-        """Resolve one idle-to-active transition."""
-
-    @abc.abstractmethod
-    def reroute_activation(self, vm: VirtualMachine) -> Optional[int]:
-        """Fallback destination when the VM's home refuses to wake."""
-
-
-class ManagerDecisionPlane(DecisionPlane):
-    """The reference decision plane: a transparent manager facade.
-
-    Every method delegates 1:1 to :class:`ClusterManager`, so the
-    engine's decision sequence (and hence its RNG draw order) is
-    byte-identical to the pre-split direct calls.
-    """
-
-    __slots__ = ("manager",)
-
-    def __init__(self, manager: ClusterManager) -> None:
-        self.manager = manager
-
-    def plan_exchanges(self) -> List[ExchangePlan]:
-        return self.manager.plan_exchanges()
-
-    def plan_consolidation(
-        self, compact_consolidation: bool = True
-    ) -> ConsolidationPlan:
-        return self.manager.plan_consolidation(
-            compact_consolidation=compact_consolidation
-        )
-
-    def decide_activation(self, vm: VirtualMachine) -> ActivationDecision:
-        return self.manager.decide_activation(vm)
-
-    def reroute_activation(self, vm: VirtualMachine) -> Optional[int]:
-        return self.manager.reroute_activation(vm)
-
-
-class AccountingLedger(abc.ABC):
-    """Everything the engine records about a day — and nothing it reads
-    back to make decisions.
-
-    The engine writes energy, state time, traffic, and counters through
-    this interface only; decisions never depend on ledger state, so an
-    alternative engine can batch or vectorize accounting freely without
-    touching behaviour.
-    """
-
-    #: The run's traffic ledger (shared with the result object).
-    traffic: TrafficLedger
-    #: The run's migration/operation counters (shared with the result).
-    counters: MigrationCounters
-    #: The run's fault counters (shared with the result).
-    faults: FaultCounters
-
-    @abc.abstractmethod
-    def set_power(self, entity: Hashable, watts: float, now: float) -> None:
-        """Entity draws ``watts`` from ``now`` on (piecewise-constant)."""
-
-    @abc.abstractmethod
-    def add_energy(self, entity: Hashable, joules: float) -> None:
-        """Charge a lump of energy outside the piecewise model."""
-
-    @abc.abstractmethod
-    def set_state(self, entity: Hashable, state: str, now: float) -> None:
-        """Entity enters power ``state`` at ``now``."""
-
-    @abc.abstractmethod
-    def record_partial_migration(
-        self, descriptor_mib: float, upload_mib: float
-    ) -> None:
-        """Charge one partial migration's descriptor + SAS upload."""
-
-    @abc.abstractmethod
-    def record_on_demand(self, demand_mib: float) -> None:
-        """Charge one consolidation episode's demand-fault traffic."""
-
-    @abc.abstractmethod
-    def finish(self, horizon: float) -> None:
-        """Close every open segment at the simulation horizon."""
-
-    @abc.abstractmethod
-    def total_joules(self) -> float:
-        """Accumulated energy over all entities (after :meth:`finish`)."""
-
-    @abc.abstractmethod
-    def energy_joules(self, entity: Hashable) -> float:
-        """Accumulated energy of one entity."""
-
-    @abc.abstractmethod
-    def state_duration(self, entity: Hashable, state: str) -> float:
-        """Seconds ``entity`` spent in ``state``."""
-
-    @abc.abstractmethod
-    def state_time_s(self) -> Dict[str, float]:
-        """Total seconds per power state, summed over all entities."""
-
-    @abc.abstractmethod
-    def state_energy_j(self) -> Dict[str, float]:
-        """Energy per power state (plus :data:`SURCHARGE_STATE`)."""
-
-
-class FarmAccountingLedger(AccountingLedger):
-    """The reference accounting plane.
-
-    Wraps the pre-split components — one :class:`EnergyAccountant`, one
-    :class:`StateTimeTracker`, and the result's traffic/counter records
-    — and forwards every write unchanged, so meter creation order and
-    float summation order are exactly those of the direct calls it
-    replaces.  On top it meters per-state energy: each entity carries a
-    ``(state, watts, since)`` segment closed on every state or power
-    edge, with the closed joules accumulated per state name.
+    Energy and state writes go to the accountant and tracker in call
+    order, so meter creation order, and with it the float summation
+    order of :meth:`total_joules`, follows the engine's writes.  Each
+    entity also carries a ``(state, watts, since)`` segment closed on
+    every state or power edge, with the closed joules accumulated per
+    state name.
     """
 
     __slots__ = (
@@ -219,6 +71,7 @@ class FarmAccountingLedger(AccountingLedger):
     # -- energy ---------------------------------------------------------
 
     def set_power(self, entity: Hashable, watts: float, now: float) -> None:
+        """Entity draws ``watts`` from ``now`` on (piecewise-constant)."""
         self.accountant.set_power(entity, watts, now)
         segment = self._segments.get(entity)
         if segment is None:
@@ -228,12 +81,14 @@ class FarmAccountingLedger(AccountingLedger):
         segment[1] = watts
 
     def add_energy(self, entity: Hashable, joules: float) -> None:
+        """Charge a lump of energy outside the piecewise model."""
         self.accountant.add_energy(entity, joules)
         self._state_energy[SURCHARGE_STATE] = (
             self._state_energy.get(SURCHARGE_STATE, 0.0) + joules
         )
 
     def set_state(self, entity: Hashable, state: str, now: float) -> None:
+        """Entity enters power ``state`` at ``now``."""
         self.tracker.set_state(entity, state, now)
         segment = self._segments.get(entity)
         if segment is None:
@@ -255,10 +110,10 @@ class FarmAccountingLedger(AccountingLedger):
     def record_partial_migration(
         self, descriptor_mib: float, upload_mib: float
     ) -> None:
+        """Charge one partial migration's descriptor + SAS upload."""
         # Direct backing-list writes (the sampled volumes are floored at
         # a tenth of their positive means upstream, so the ``add``
-        # negativity check cannot fire) — byte- and cost-identical to
-        # the inlined hot-path writes this method absorbed.
+        # negativity check cannot fire).
         ledger = self.traffic
         mib = ledger._mib
         events = ledger._events
@@ -270,6 +125,7 @@ class FarmAccountingLedger(AccountingLedger):
         events[index] += 1
 
     def record_on_demand(self, demand_mib: float) -> None:
+        """Charge one consolidation episode's demand-fault traffic."""
         ledger = self.traffic
         index = TrafficCategory.ON_DEMAND_PAGES.ledger_index
         ledger._mib[index] += demand_mib
@@ -278,21 +134,26 @@ class FarmAccountingLedger(AccountingLedger):
     # -- lifecycle and read-back ---------------------------------------
 
     def finish(self, horizon: float) -> None:
+        """Close every open segment at the simulation horizon."""
         self.accountant.finish(horizon)
         self.tracker.finish(horizon)
         for entity in self._segments:
             self._close_segment(self._segments[entity], horizon)
 
     def total_joules(self) -> float:
+        """Accumulated energy over all entities (after :meth:`finish`)."""
         return self.accountant.total_joules()
 
     def energy_joules(self, entity: Hashable) -> float:
+        """Accumulated energy of one entity."""
         return self.accountant.energy_joules(entity)
 
     def state_duration(self, entity: Hashable, state: str) -> float:
+        """Seconds ``entity`` spent in ``state``."""
         return self.tracker.duration(entity, state)
 
     def state_time_s(self) -> Dict[str, float]:
+        """Total seconds per power state, summed over all entities."""
         totals: Dict[str, float] = {}
         for (_entity, state), seconds in sorted(
             self.tracker._durations.items(),
@@ -302,4 +163,5 @@ class FarmAccountingLedger(AccountingLedger):
         return dict(sorted(totals.items()))
 
     def state_energy_j(self) -> Dict[str, float]:
+        """Energy per power state (plus :data:`SURCHARGE_STATE`)."""
         return dict(sorted(self._state_energy.items()))

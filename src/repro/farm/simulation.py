@@ -50,12 +50,7 @@ from repro.errors import CapacityError, ConfigError, SimulationError
 from repro.farm.config import FarmConfig
 from repro.faults import CLEAN_WAKE, FaultInjector, FaultPlan, backoff_delays_s
 from repro.farm.metrics import DelaySample, FarmResult
-from repro.farm.planes import (
-    AccountingLedger,
-    DecisionPlane,
-    FarmAccountingLedger,
-    ManagerDecisionPlane,
-)
+from repro.farm.planes import FarmAccountingLedger
 from repro.migration.scheduler import HostBusyScheduler
 from repro.migration.traffic import TrafficCategory
 from repro.obs.events import CAT_FARM, CAT_FAULT, CAT_MIGRATION, CAT_POWER
@@ -144,10 +139,6 @@ class FarmSimulation:
             tracer=self.tracer,
             streams=self.streams,
         )
-        # The decision plane: every planner query the engine makes goes
-        # through this seam (DESIGN.md §16).  The reference plane is a
-        # transparent manager facade, so draw order is unchanged.
-        self.decisions: DecisionPlane = ManagerDecisionPlane(self.manager)
 
         # All VMs share one interval clock: quiet VMs' idle streaks grow
         # with the clock instead of through per-VM per-interval updates.
@@ -166,15 +157,9 @@ class FarmSimulation:
             seed=seed,
             horizon_s=SECONDS_PER_DAY,
         )
-        # The accounting plane: every energy/state/traffic/counter write
-        # goes through this seam (DESIGN.md §16).  The reference ledger
-        # fronts the result's own record objects and the pre-split
-        # accountant/tracker, so meter creation order — and with it the
-        # float summation order of total_joules — is unchanged.
-        self.ledger: AccountingLedger = FarmAccountingLedger(self.result)
-        # Aliases for external readers (validators, scenario tests).
-        self.accountant = self.ledger.accountant
-        self.tracker = self.ledger.tracker
+        # Every energy/state/traffic/counter write goes through the
+        # ledger (DESIGN.md §16), which fronts the result's own records.
+        self.ledger = FarmAccountingLedger(self.result)
 
         self._jitter_rng = self.streams.get("activation-jitter")
         self._traffic_rng = self.streams.get("traffic")
@@ -354,9 +339,9 @@ class FarmSimulation:
 
     def _run_planning(self, now: float) -> None:
         """One periodic planning pass: exchanges, then consolidation."""
-        for exchange in self.decisions.plan_exchanges():
+        for exchange in self.manager.plan_exchanges():
             self._execute_exchange(exchange, now)
-        plan = self.decisions.plan_consolidation(
+        plan = self.manager.plan_consolidation(
             compact_consolidation=self.config.compact_consolidation_hosts
         )
         self._execute_consolidation(plan, now)
@@ -564,7 +549,7 @@ class FarmSimulation:
     def _on_activation(self, vm_id: int) -> None:
         now = self.sim.now
         vm = self.vms[vm_id]
-        decision = self.decisions.decide_activation(vm)
+        decision = self.manager.decide_activation(vm)
         action = decision.action
         if action is ActivationAction.ALREADY_FULL:
             # The VM already holds all of its resources where it runs
@@ -810,7 +795,7 @@ class FarmSimulation:
         remaining = trigger.memory_mib - (trigger.working_set_mib or 0.0)
         if host.can_fit(remaining):
             return self._convert_in_place(trigger, now, fault_exempt=True)
-        destination = self.decisions.reroute_activation(trigger)
+        destination = self.manager.reroute_activation(trigger)
         if destination is not None:
             return self._rehome(trigger, destination, now, fault_exempt=True)
         return self._handle_wake_home_return_all(
@@ -1199,8 +1184,7 @@ class FarmSimulation:
         """Charge one partial migration's traffic; returns its total MiB.
 
         The draws stay here (draw order is part of the engine); the
-        ledger write goes through the accounting seam, which performs
-        the same direct backing-list update this method used to inline.
+        ledger records the two volumes.
         """
         rng = self._traffic_rng
         costs = self.config.costs

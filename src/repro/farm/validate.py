@@ -77,7 +77,7 @@ def _check_served_images(simulation: FarmSimulation) -> None:
 def _check_state_time(simulation: FarmSimulation) -> None:
     for host in simulation.cluster:
         total = sum(
-            simulation.tracker.duration(host.host_id, state)
+            simulation.ledger.state_duration(host.host_id, state)
             for state in _HOST_STATES
         )
         if abs(total - SECONDS_PER_DAY) > 1.0:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
-from math import tau as _TWOPI
 
 from repro.errors import ConfigError
 from repro.units import DEFAULT_VM_MEMORY_MIB, TEN_GIGE_MIB_PER_S
@@ -97,74 +95,32 @@ class MigrationCostModel:
 
     # -- traffic sampling ----------------------------------------------
     #
-    # Each sampler draws a truncated Gaussian.  The samplers sit on the
-    # simulation's per-migration hot path (tens of thousands of draws per
-    # simulated day), so the draw inlines ``random.Random.gauss`` — the
-    # Box-Muller pair algorithm, including its ``gauss_next`` cache —
-    # rather than calling through it; the values and the stream position
-    # are bit-for-bit those of ``_positive_gauss`` (kept below as the
-    # reference implementation).
+    # Each sampler draws one Gaussian.  Traffic volumes are strictly
+    # positive, so the rare negative tail is clamped to a tenth of the
+    # mean.
 
     def sample_descriptor_mib(self, rng: random.Random) -> float:
-        z = rng.gauss_next
-        rng.gauss_next = None
-        if z is None:
-            uniform01 = rng.random
-            x2pi = uniform01() * _TWOPI
-            g2rad = _sqrt(-2.0 * _log(1.0 - uniform01()))
-            z = _cos(x2pi) * g2rad
-            rng.gauss_next = _sin(x2pi) * g2rad
-        mean = self.descriptor_mib_mean
-        value = mean + z * self.descriptor_mib_std
-        floor = 0.1 * mean
-        return value if value >= floor else floor
+        return _positive_gauss(
+            rng, self.descriptor_mib_mean, self.descriptor_mib_std
+        )
 
     def sample_on_demand_mib(self, rng: random.Random) -> float:
-        z = rng.gauss_next
-        rng.gauss_next = None
-        if z is None:
-            uniform01 = rng.random
-            x2pi = uniform01() * _TWOPI
-            g2rad = _sqrt(-2.0 * _log(1.0 - uniform01()))
-            z = _cos(x2pi) * g2rad
-            rng.gauss_next = _sin(x2pi) * g2rad
-        mean = self.on_demand_mib_mean
-        value = mean + z * self.on_demand_mib_std
-        floor = 0.1 * mean
-        return value if value >= floor else floor
+        return _positive_gauss(
+            rng, self.on_demand_mib_mean, self.on_demand_mib_std
+        )
 
     def sample_reintegration_mib(self, rng: random.Random) -> float:
-        z = rng.gauss_next
-        rng.gauss_next = None
-        if z is None:
-            uniform01 = rng.random
-            x2pi = uniform01() * _TWOPI
-            g2rad = _sqrt(-2.0 * _log(1.0 - uniform01()))
-            z = _cos(x2pi) * g2rad
-            rng.gauss_next = _sin(x2pi) * g2rad
-        mean = self.reintegration_mib_mean
-        value = mean + z * self.reintegration_mib_std
-        floor = 0.1 * mean
-        return value if value >= floor else floor
+        return _positive_gauss(
+            rng, self.reintegration_mib_mean, self.reintegration_mib_std
+        )
 
     def sample_sas_upload_mib(self, rng: random.Random) -> float:
-        z = rng.gauss_next
-        rng.gauss_next = None
-        if z is None:
-            uniform01 = rng.random
-            x2pi = uniform01() * _TWOPI
-            g2rad = _sqrt(-2.0 * _log(1.0 - uniform01()))
-            z = _cos(x2pi) * g2rad
-            rng.gauss_next = _sin(x2pi) * g2rad
-        mean = self.sas_upload_mib_mean
-        value = mean + z * self.sas_upload_mib_std
-        floor = 0.1 * mean
-        return value if value >= floor else floor
+        return _positive_gauss(
+            rng, self.sas_upload_mib_mean, self.sas_upload_mib_std
+        )
 
-    @staticmethod
-    def _positive_gauss(rng: random.Random, mean: float, std: float) -> float:
-        """Reference implementation of the samplers' inlined draw."""
-        value = rng.gauss(mean, std)
-        # Traffic volumes are strictly positive; resample the rare
-        # negative tail by clamping to a tenth of the mean.
-        return max(value, 0.1 * mean)
+
+def _positive_gauss(rng: random.Random, mean: float, std: float) -> float:
+    value = rng.gauss(mean, std)
+    floor = 0.1 * mean
+    return value if value >= floor else floor

@@ -42,13 +42,20 @@ class WorkingSetSampler:
         parameters fewer than ~4% of draws are rejected, so this
         terminates fast.  Falls back to clamping after a bounded number
         of rejections to stay total even for pathological configs.
+
+        The vacate planner calls this once per idle VM it tries to
+        place, so the bounds and ``rng.gauss`` are bound to locals.
         """
+        gauss = rng.gauss
+        mean = self.mean_mib
+        std = self.std_mib
+        low = self.min_mib
+        high = self.max_mib
         for _ in range(64):
-            value = rng.gauss(self.mean_mib, self.std_mib)
-            if self.min_mib <= value <= self.max_mib:
+            value = gauss(mean, std)
+            if low <= value <= high:
                 return value
-        return min(max(rng.gauss(self.mean_mib, self.std_mib), self.min_mib),
-                   self.max_mib)
+        return min(max(gauss(mean, std), low), high)
 
     def expected_mib(self) -> float:
         """The (approximate) mean of the truncated distribution.

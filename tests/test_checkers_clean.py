@@ -208,7 +208,7 @@ class TestEquivScopeCoverage:
         assert any(
             dotted.startswith("repro.equiv.mutants.")
             for dotted in ctx.classes
-        ), "expected the mutant taps in the linked project"
+        ), "expected the mutant classes in the linked project"
         assert any(
             dotted.startswith("repro.equiv.")
             and dotted.endswith(".RunFingerprint")

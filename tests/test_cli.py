@@ -1,8 +1,23 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+
+def _run_cli(argv):
+    """Run ``python -m repro`` in a child process, as a user would."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
 
 
 class TestParser:
@@ -198,3 +213,37 @@ class TestZonedSimulateCommand:
         out = capsys.readouterr().out
         assert "budget:           100000 W across 2 zones" in out
         assert "all zones within budget" in out
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--home-hosts", "2", "--consolidation-hosts", "0",
+         "--vms-per-host", "2"],
+        ["simulate", "--home-hosts", "2", "--consolidation-hosts", "1",
+         "--vms-per-host", "2", "--zones", "5"],
+        ["simulate", "--home-hosts", "4", "--consolidation-hosts", "2",
+         "--vms-per-host", "2", "--zones", "2", "--budget-w", "0"],
+        ["sweep", "--consolidation-counts", "0,1"],
+        ["simulate", "--policy", "Default", "--gamma", "1"],
+    ])
+    def test_config_error_exits_2_with_one_stderr_line(self, argv):
+        completed = _run_cli(argv)
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert len(completed.stderr.splitlines()) == 1, completed.stderr
+
+    @pytest.mark.parametrize("argv,option", [
+        (["simulate", "--runs", "0"], "--runs"),
+        (["simulate", "--runs", "-3"], "--runs"),
+        (["simulate", "--workers", "0"], "--workers"),
+        (["simulate", "--workers", "-1"], "--workers"),
+        (["sweep", "--runs", "0"], "--runs"),
+        (["sweep", "--workers", "0"], "--workers"),
+        (["equiv", "selftest", "--workers", "0"], "--workers"),
+        (["simulate", "--zones", "-2"], "--zones"),
+    ])
+    def test_counts_below_one_are_usage_errors(self, capsys, argv, option):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{option} must be >= 1" in captured.err
+        assert captured.out == ""

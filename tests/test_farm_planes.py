@@ -1,18 +1,16 @@
-"""The two-plane split is a seam, not a change (DESIGN.md §16).
+"""The accounting ledger is the day's single record (DESIGN.md §16).
 
-``FarmSimulation`` routes every planner query through a
-:class:`~repro.farm.planes.DecisionPlane` and every bookkeeping write
-through an :class:`~repro.farm.planes.AccountingLedger`.  These tests
-pin the seam contract from three angles:
+``FarmSimulation`` calls its ``ClusterManager`` for every planner query
+and writes every bookkeeping record through one
+:class:`~repro.farm.planes.FarmAccountingLedger`.  These tests pin that
+contract from three angles:
 
-* the reference planes are installed and share the result's records
-  (same objects, not copies);
+* the ledger is installed and shares the result's records (same
+  objects, not copies);
 * across a battery of randomized farm shapes and fault profiles, the
-  ledger's read-back equals the ``FarmResult`` fields the pre-split
-  engine produced directly — energy to the bit, per-state splits to
-  float reassociation;
-* the ``simulate`` stdout is byte-identical to the committed golden,
-  which was NOT regenerated for the split.
+  ledger's read-back equals the ``FarmResult`` fields — energy to the
+  bit, per-state splits to float reassociation;
+* the ``simulate`` stdout is byte-identical to the committed golden.
 """
 
 import json
@@ -26,7 +24,6 @@ from repro.farm import (
     FarmAccountingLedger,
     FarmConfig,
     FarmSimulation,
-    ManagerDecisionPlane,
 )
 from repro.farm.runner import RunSpec
 from repro.faults import fault_profile_by_name
@@ -53,14 +50,11 @@ class TestPlaneInstallation:
             config.total_vms, DayType.WEEKDAY, seed=3, config=config.traces
         )
         sim = FarmSimulation(config, "Default", ensemble, seed=3)
-        assert isinstance(sim.decisions, ManagerDecisionPlane)
-        assert sim.decisions.manager is sim.manager
-        assert isinstance(sim.ledger, FarmAccountingLedger)
-        # The pre-split attribute names remain live aliases into the
-        # ledger, so older instrumentation keeps working.
-        assert sim.accountant is sim.ledger.accountant
-        assert sim.tracker is sim.ledger.tracker
+        assert type(sim.ledger) is FarmAccountingLedger
         assert sim.faults is sim.ledger.faults
+        # Readers go through sim.manager and sim.ledger; no aliases.
+        for alias in ("decisions", "accountant", "tracker"):
+            assert not hasattr(sim, alias), alias
 
     def test_ledger_shares_result_records(self):
         config = FarmConfig(home_hosts=2, consolidation_hosts=1,
@@ -90,10 +84,10 @@ def _random_shapes(count, seed=20160418):
 
 @pytest.mark.slow
 class TestLedgerMatchesResult:
-    """Ledger read-back == pre-split FarmResult fields, property-style."""
+    """Ledger read-back == FarmResult fields, property-style."""
 
     #: 100 random farm shapes, each run under both extreme fault
-    #: profiles — the battery the seam's correctness claim rests on.
+    #: profiles — the battery the ledger's correctness claim rests on.
     SHAPES = _random_shapes(100)
 
     @pytest.mark.parametrize("profile", ["none", "heavy"])
@@ -147,12 +141,12 @@ class TestLedgerMatchesResult:
 
 
 class TestGoldenStdoutSeam:
-    """The split did not shift a byte: pinned stdout vs committed golden.
+    """The ledger did not shift a byte: pinned stdout vs committed golden.
 
     ``tests/test_farm_golden.py`` guards this for every policy; this
-    duplicate of one policy states the *seam's* contract where the seam
-    is tested, so a future plane change failing here points straight at
-    the planes rather than at "some golden drifted".
+    duplicate of one policy states the ledger's contract where the
+    ledger is tested, so a future ledger change failing here points
+    straight at it rather than at "some golden drifted".
     """
 
     def test_stdout_byte_identical_to_committed_golden(self):

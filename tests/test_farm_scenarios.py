@@ -208,11 +208,12 @@ class TestEnergyCrossChecks:
         simulation, result = run(tiny_config(), FULL_TO_PARTIAL, ensemble)
         profile = simulation.config.host_power
         ms_w = simulation.config.memory_server.total_w
+        duration = simulation.ledger.state_duration
         for host in simulation.cluster:
-            sleep_s = simulation.tracker.duration(host.host_id, "sleeping")
-            powered_s = simulation.tracker.duration(host.host_id, "powered")
-            suspending_s = simulation.tracker.duration(host.host_id, "suspending")
-            resuming_s = simulation.tracker.duration(host.host_id, "resuming")
+            sleep_s = duration(host.host_id, "sleeping")
+            powered_s = duration(host.host_id, "powered")
+            suspending_s = duration(host.host_id, "suspending")
+            resuming_s = duration(host.host_id, "resuming")
             total = sleep_s + powered_s + suspending_s + resuming_s
             assert total == pytest.approx(86400.0, abs=1.0)
             sleep_w = profile.sleep_w + (
@@ -227,7 +228,7 @@ class TestEnergyCrossChecks:
             high = low + powered_s * profile.per_vm_w * (
                 simulation.config.capacity_mib / 4096.0
             )
-            measured = simulation.accountant.energy_joules(host.host_id)
+            measured = simulation.ledger.energy_joules(host.host_id)
             assert low - 1.0 <= measured <= high + 1.0
 
     def test_managed_energy_below_baseline_for_mostly_idle_day(self):

@@ -133,7 +133,7 @@ class TestRandomScheduleInvariants:
 
     def test_per_host_energy_sums_to_cluster_total(self, battery):
         for case in battery:
-            accountant = case.simulation.accountant
+            accountant = case.simulation.ledger.accountant
             by_entity = sum(
                 accountant.energy_joules(entity)
                 for entity in accountant.entities()

@@ -15,8 +15,8 @@ import textwrap
 
 import pytest
 
-from repro.checkers.driver import module_name_for, read_source
-from repro.checkers.flow.baseline import apply_baseline, load_baseline
+from repro.checkers.driver import read_source
+from repro.checkers.flow.baseline import load_baseline
 from repro.checkers.flow.project import ProjectContext
 from repro.checkers.flow.runner import check_project
 from repro.checkers.flow.rules_enc import INDEX_SPECS
@@ -150,46 +150,6 @@ class TestFlowPack:
         )
         found = rendered(run_rules(ctx, "FLOW103"))
         assert found == [("FLOW103", "src/repro/core/planner.py", 12)]
-
-    def test_flow104_drifted_gauss_replica(self):
-        # The sin/cos pairing is swapped vs random.Random.gauss: the
-        # cached second variate would differ from the library's.
-        ctx = build_ctx(
-            {
-                "repro.migration.fastpath": """
-                from math import cos as _cos, sin as _sin, log as _log
-                from math import sqrt as _sqrt, tau as _TWOPI
-                import random
-
-                def sample(rng: random.Random) -> float:
-                    u = rng.random
-                    z = rng.gauss_next
-                    rng.gauss_next = None
-                    if z is None:
-                        x2pi = u() * _TWOPI
-                        g2rad = _sqrt(-2.0 * _log(1.0 - u()))
-                        z = _sin(x2pi) * g2rad
-                        rng.gauss_next = _cos(x2pi) * g2rad
-                    return 100.0 + z * 10.0
-                """
-            }
-        )
-        found = rendered(run_rules(ctx, "FLOW104"))
-        # Each unverified gauss_next touch is its own site.
-        assert found and all(f[0] == "FLOW104" for f in found)
-
-    def test_flow104_canonical_replica_in_real_tree_is_clean(self):
-        path = "src/repro/migration/costs.py"
-        summary = summarize_source(
-            read_source(path), path, "repro.migration.costs"
-        )
-        sites = [
-            s
-            for fn in summary.functions.values()
-            for s in fn.replica_sites
-        ]
-        assert sites, "expected inlined gauss replicas in costs.py"
-        assert all(s.ok for s in sites)
 
 
 class TestEncPack:
