@@ -108,8 +108,10 @@ INDEX_SPECS: Tuple[IndexSpec, ...] = (
     ),
     IndexSpec(
         cls="repro.core.placement._ShadowCapacity",
-        attrs=frozenset({"free", "effective", "woken", "powered"}),
-        leakable=frozenset({"free", "effective", "woken", "powered"}),
+        attrs=frozenset({"free", "effective", "woken", "powered", "rooms"}),
+        leakable=frozenset(
+            {"free", "effective", "woken", "powered", "rooms"}
+        ),
         mutators=frozenset(
             {
                 "_ShadowCapacity.__init__",
@@ -120,9 +122,11 @@ INDEX_SPECS: Tuple[IndexSpec, ...] = (
             }
         ),
         reason=(
-            "shadow arrays are the planner's speculative view; the two "
-            "planner hot loops update them inline (byte-identity with "
-            "the event-compiled path forbids call-through), so they are "
+            "shadow arrays and the sorted spike rooms are the planner's "
+            "speculative view; the point-estimate vacate loop updates "
+            "the arrays inline for speed (a method call per scan, place "
+            "and rollback makes greedy planning measurably slower) and "
+            "compaction marks an emptied host unfit, so both are "
             "sanctioned alongside place/unplace"
         ),
     ),

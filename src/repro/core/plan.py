@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.errors import ConfigError
 
@@ -122,8 +122,6 @@ class ConsolidationPlan:
     """The outcome of one periodic planning pass."""
 
     vacations: List[HostVacatePlan] = field(default_factory=list)
-    #: Sleeping consolidation hosts that must be woken to receive VMs.
-    hosts_to_wake: Set[int] = field(default_factory=set)
     #: Lightly-loaded consolidation hosts emptied into their powered
     #: peers so they can sleep (the planner minimizes *all* powered
     #: hosts, §3.1).  Relocating a partial VM is cheap: its memory image

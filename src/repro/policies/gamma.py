@@ -19,9 +19,9 @@ The module has three layers:
 * :class:`DemandIntervalModel`, which derives each VM's interval
   deterministically from the simulation seed (see below);
 * :class:`GammaRobustPlanner` / :class:`GammaRobustStrategy`, the
-  farm-facing planner that mirrors the greedy vacate/compaction
-  structure of :class:`~repro.core.placement.GreedyVacatePlanner` but
-  places with a Γ-aware first-fit over the same shadow-capacity index.
+  farm-facing planner: a :class:`~repro.core.placement.GreedyVacatePlanner`
+  subclass that supplies only Γ and a demand model (nominal sizes and
+  spike rooms); the shadow-capacity index applies the Γ-robust fit rule.
 
 Determinism contract (the ``gamma.intervals`` stream family): VM
 ``v``'s spike fraction is the single ``random()`` draw of a
@@ -44,25 +44,13 @@ from dataclasses import dataclass
 from heapq import nlargest
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.host import Host
-from repro.cluster.topology import Cluster
-from repro.core.placement import (
-    DestinationStrategy,
-    GreedyVacatePlanner,
-    _ShadowCapacity,
-)
-from repro.core.plan import (
-    ConsolidationPlan,
-    HostVacatePlan,
-    MigrationMode,
-    PlannedMigration,
-)
+from repro.core.placement import DestinationStrategy, GreedyVacatePlanner
 from repro.core.policies import PolicySpec
 from repro.core.strategies import PlacementStrategy, register_family
 from repro.errors import ConfigError
 from repro.simulator.randomness import RngStreams, derive_seed
 from repro.vm.machine import VirtualMachine
-from repro.vm.state import Residency, VmActivity
+from repro.vm.state import Residency
 from repro.vm.workingset import WorkingSetSampler
 
 __all__ = [
@@ -445,17 +433,15 @@ class DemandIntervalModel:
         return result
 
 
-class GammaRobustPlanner:
-    """Γ-aware first-fit vacate/compaction planner.
+class GammaRobustPlanner(GreedyVacatePlanner):
+    """The greedy vacate planner under the Γ-robust fit rule.
 
-    Mirrors :class:`~repro.core.placement.GreedyVacatePlanner`'s plan
-    structure (cheapest-host-first vacations, low-water compaction over
-    the same shadow-capacity index) but admits a placement only while
-    the destination stays Γ-robust-feasible, counting the spike room of
-    VMs already resident there.  Destination choice is deterministic
-    first-fit — powered (or already-woken) consolidation hosts before
-    sleeping ones, ascending host id within each tier — so the planner
-    consumes no randomness at all.
+    It supplies only its demand model.  An idle VM is planned at its
+    nominal working set (the sampler mean, which also orders the
+    inherited vacate queue) with its interval deviation as spike room;
+    a resident partial VM brings the spike room it has left to
+    compaction.  Destinations are first fit, so the planner holds no
+    RNG and draws nothing.
     """
 
     def __init__(
@@ -468,266 +454,23 @@ class GammaRobustPlanner:
     ) -> None:
         if gamma < 0:
             raise ConfigError(f"gamma must be >= 0, got {gamma}")
-        if min_idle_intervals < 1:
-            raise ConfigError("min_idle_intervals must be >= 1")
-        self.policy = policy
-        self.working_sets = working_sets
+        super().__init__(policy, working_sets, None, min_idle_intervals,
+                         DestinationStrategy.FIRST_FIT)
         self.intervals = intervals
         self.gamma = gamma
-        self.min_idle_intervals = min_idle_intervals
 
-    # -- public API -----------------------------------------------------
+    def _idle_demand(self, vm: VirtualMachine) -> Tuple[float, float]:
+        return self.intervals.interval(vm)
 
-    def plan(
-        self, cluster: Cluster, compact_consolidation: bool = True
-    ) -> ConsolidationPlan:
-        shadow = _ShadowCapacity(cluster)
-        spikes = self._spike_state(cluster, shadow)
-        vacations: List[HostVacatePlan] = []
-        for host in self._vacate_queue(cluster):
-            migrations = self._try_vacate(host, shadow, spikes)
-            if migrations is not None:
-                vacations.append(HostVacatePlan(host.host_id, migrations))
-        compactions: List[HostVacatePlan] = []
-        if compact_consolidation:
-            compactions = self._plan_compaction(cluster, shadow, spikes)
-        return ConsolidationPlan(
-            vacations=vacations,
-            hosts_to_wake=set(shadow.woken),
-            compactions=compactions,
-        )
-
-    # -- robust feasibility ---------------------------------------------
-
-    def _resident_spike(self, vm: VirtualMachine) -> float:
-        """Spike room a resident VM may still claim on its host: its
-        interval maximum (capped at full memory) minus what it already
-        holds.  Full VMs hold everything and can never spike further."""
+    def _resident_room(self, vm: VirtualMachine) -> float:
+        """A partial VM's interval maximum (capped at full memory) minus
+        what it already holds.  Full VMs hold everything and can never
+        spike further."""
         if vm.residency is not Residency.PARTIAL:
             return 0.0
         nominal, deviation = self.intervals.interval(vm)
-        worst = nominal + deviation
-        memory = vm.memory_mib
-        if worst > memory:
-            worst = memory
-        spike = worst - vm.resident_mib
+        spike = min(nominal + deviation, vm.memory_mib) - vm.resident_mib
         return spike if spike > 0.0 else 0.0
-
-    def _spike_state(
-        self, cluster: Cluster, shadow: _ShadowCapacity
-    ) -> List[List[float]]:
-        """Per shadow position: committed spike rooms of resident VMs."""
-        spikes: List[List[float]] = [[] for _ in shadow.ids]
-        for host in cluster.consolidation_hosts:
-            position = shadow.index[host.host_id]
-            for vm in host.vms():
-                spike = self._resident_spike(vm)
-                if spike > 0.0:
-                    spikes[position].append(spike)
-        return spikes
-
-    def _robust_fits(
-        self,
-        position: int,
-        size: float,
-        deviation: float,
-        shadow: _ShadowCapacity,
-        spikes: List[List[float]],
-        reserve: float = 0.0,
-    ) -> bool:
-        """Would placing ``(size, deviation)`` keep the host Γ-robust
-        (and ``reserve`` MiB free on top of the worst case)?"""
-        free = shadow.free[position]
-        if self.gamma == 0:
-            return free + _EPS >= size + reserve
-        excess = sum(nlargest(
-            self.gamma, spikes[position] + [deviation]
-        ))
-        return free + _EPS >= size + excess + reserve
-
-    # -- vacations ------------------------------------------------------
-
-    def _vacate_queue(self, cluster: Cluster) -> List[Host]:
-        """Powered compute hosts with VMs, cheapest robust demand first
-        (active VMs at full memory, idle VMs at nominal — the same
-        ordering the greedy planner derives from expected working sets)."""
-        candidates = [
-            host
-            for host in cluster.home_hosts
-            if host.is_powered and host.vm_count > 0
-        ]
-        return sorted(candidates, key=self._memory_demand)
-
-    def _memory_demand(self, host: Host) -> float:
-        demand = 0.0
-        for vm in host.vms():
-            if vm.activity is VmActivity.ACTIVE:
-                demand += vm.memory_mib
-            else:
-                nominal, _ = self.intervals.interval(vm)
-                demand += nominal
-        return demand
-
-    def _try_vacate(
-        self,
-        host: Host,
-        shadow: _ShadowCapacity,
-        spikes: List[List[float]],
-    ) -> Optional[List[PlannedMigration]]:
-        """Plan all of one host's VMs, or None if any cannot move."""
-        migrations: List[PlannedMigration] = []
-        placed: List[Tuple[int, int, float]] = []
-        for vm in host.vms():
-            if vm.activity is VmActivity.ACTIVE:
-                if not self.policy.full_migrate_active:
-                    self._rollback(placed, shadow, spikes)
-                    return None
-                size = vm.memory_mib
-                deviation = 0.0
-                working_set = None
-                mode = MigrationMode.FULL
-            else:
-                if vm.idle_intervals < self.min_idle_intervals:
-                    self._rollback(placed, shadow, spikes)
-                    return None
-                nominal, deviation = self.intervals.interval(vm)
-                size = nominal
-                working_set = nominal
-                mode = MigrationMode.PARTIAL
-            destination = self._first_fit(size, deviation, shadow, spikes)
-            if destination is None:
-                self._rollback(placed, shadow, spikes)
-                return None
-            position = shadow.index[destination]
-            shadow.place(destination, size)
-            spikes[position].append(deviation)
-            placed.append((destination, position, size))
-            migrations.append(PlannedMigration(
-                vm_id=vm.vm_id,
-                source_id=host.host_id,
-                destination_id=destination,
-                mode=mode,
-                working_set_mib=working_set,
-            ))
-        return migrations
-
-    def _first_fit(
-        self,
-        size: float,
-        deviation: float,
-        shadow: _ShadowCapacity,
-        spikes: List[List[float]],
-    ) -> Optional[int]:
-        """First robust-feasible destination: powered/woken hosts first,
-        then sleeping ones; ascending host id within each tier."""
-        effective = shadow.effective
-        for tier in (True, False):
-            for position, host_id in enumerate(shadow.ids):
-                if effective[position] != tier:
-                    continue
-                if self._robust_fits(position, size, deviation, shadow,
-                                     spikes):
-                    return host_id
-        return None
-
-    def _rollback(
-        self,
-        placed: List[Tuple[int, int, float]],
-        shadow: _ShadowCapacity,
-        spikes: List[List[float]],
-    ) -> None:
-        for destination, position, size in reversed(placed):
-            shadow.unplace(destination, size)
-            spikes[position].pop()
-
-    # -- compaction -----------------------------------------------------
-
-    def _plan_compaction(
-        self,
-        cluster: Cluster,
-        shadow: _ShadowCapacity,
-        spikes: List[List[float]],
-    ) -> List[HostVacatePlan]:
-        """Empty lightly-loaded powered consolidation hosts into peers
-        that stay Γ-robust (same low-water/headroom levers as greedy)."""
-        low_water = GreedyVacatePlanner.COMPACTION_LOW_WATER
-        candidates = sorted(
-            (
-                host
-                for host in cluster.consolidation_hosts
-                if host.is_powered
-                and host.vm_count > 0
-                and host.used_mib < low_water * host.capacity_mib
-            ),
-            key=lambda host: host.used_mib,
-        )
-        compactions: List[HostVacatePlan] = []
-        emptied: set = set()
-        for host in candidates:
-            migrations: List[PlannedMigration] = []
-            placed: List[Tuple[int, int, float]] = []
-            feasible = True
-            for vm in host.vms():
-                size = vm.resident_mib
-                deviation = self._resident_spike(vm)
-                destination = self._first_fit_compact(
-                    size, deviation, shadow, spikes, host.host_id, emptied
-                )
-                if destination is None:
-                    feasible = False
-                    break
-                position = shadow.index[destination]
-                shadow.place(destination, size)
-                spikes[position].append(deviation)
-                placed.append((destination, position, size))
-                mode = (
-                    MigrationMode.PARTIAL
-                    if vm.residency is Residency.PARTIAL
-                    else MigrationMode.FULL
-                )
-                migrations.append(PlannedMigration(
-                    vm_id=vm.vm_id,
-                    source_id=host.host_id,
-                    destination_id=destination,
-                    mode=mode,
-                    working_set_mib=(
-                        vm.working_set_mib
-                        if mode is MigrationMode.PARTIAL
-                        else None
-                    ),
-                ))
-            if feasible and migrations:
-                compactions.append(HostVacatePlan(host.host_id, migrations))
-                emptied.add(host.host_id)
-            else:
-                self._rollback(placed, shadow, spikes)
-        return compactions
-
-    def _first_fit_compact(
-        self,
-        size: float,
-        deviation: float,
-        shadow: _ShadowCapacity,
-        spikes: List[List[float]],
-        source_id: int,
-        emptied: set,
-    ) -> Optional[int]:
-        """First robust destination among originally-powered peers that
-        are not being emptied themselves, keeping compaction headroom."""
-        reserve_fraction = GreedyVacatePlanner.COMPACTION_HEADROOM
-        powered = shadow.powered
-        capacity = shadow.capacity
-        woken = shadow.woken
-        for position, host_id in enumerate(shadow.ids):
-            if host_id == source_id or host_id in emptied:
-                continue
-            if not powered[position] or host_id in woken:
-                continue
-            reserve = reserve_fraction * capacity[position]
-            if self._robust_fits(position, size, deviation, shadow, spikes,
-                                 reserve=reserve):
-                return host_id
-        return None
 
 
 # ----------------------------------------------------------------------

@@ -154,27 +154,28 @@ class TestFlowPack:
 
 class TestEncPack:
     def test_enc201_mutation_battery_real_modules(self):
-        """Append a rogue write to each real indexed module; ENC201 must
-        catch every one at the exact appended line."""
+        """Append a rogue write to each index attribute of each real
+        indexed module; ENC201 must catch every one at the exact
+        appended line."""
         for spec in INDEX_SPECS:
             module = spec.cls.rsplit(".", 1)[0]
             cls_name = spec.cls.rsplit(".", 1)[1]
-            attr = sorted(spec.attrs)[0]
             path = "src/" + module.replace(".", "/") + ".py"
             source = read_source(path)
             base_lines = source.count("\n")
-            rogue = (
-                f"\n\ndef _rogue(x: {cls_name}) -> None:\n"
-                f"    x.{attr} = None\n"
-            )
-            summary = summarize_source(source + rogue, path, module)
-            ctx = ProjectContext([summary])
-            found = rendered(run_rules(ctx, "ENC201"))
-            expected_line = base_lines + 4
-            assert (("ENC201", path, expected_line) in found), (
-                f"rogue write to {spec.cls}.{attr} not caught; "
-                f"got {found}"
-            )
+            for attr in sorted(spec.attrs):
+                rogue = (
+                    f"\n\ndef _rogue(x: {cls_name}) -> None:\n"
+                    f"    x.{attr} = None\n"
+                )
+                summary = summarize_source(source + rogue, path, module)
+                ctx = ProjectContext([summary])
+                found = rendered(run_rules(ctx, "ENC201"))
+                expected_line = base_lines + 4
+                assert (("ENC201", path, expected_line) in found), (
+                    f"rogue write to {spec.cls}.{attr} not caught; "
+                    f"got {found}"
+                )
 
     def test_enc201_inplace_container_mutation(self):
         ctx = build_ctx(

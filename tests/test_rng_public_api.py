@@ -5,14 +5,22 @@ traffic samplers call ``gauss``/``choice`` on the stream they are
 handed.  A ``random.Random`` subclass therefore sees every one of those
 draws, and the values are exactly the library's: the same seed gives
 the same plan and the same volumes whether or not the stream is
-instrumented.
+instrumented.  The Γ-robust planner is handed the same stream by its
+strategy and must leave it untouched.
 """
 
 import random
 
+import pytest
+
 from repro.cluster import Cluster
-from repro.core import FULL_TO_PARTIAL, GreedyVacatePlanner
+from repro.core import (
+    FULL_TO_PARTIAL,
+    DestinationStrategy,
+    GreedyVacatePlanner,
+)
 from repro.migration.costs import MigrationCostModel
+from repro.policies import GammaRobustStrategy
 from repro.vm import VirtualMachine, VmActivity, WorkingSetSampler
 
 SAMPLERS = (
@@ -73,6 +81,24 @@ class TestPlannerDraws:
         assert rng.calls["gauss"] >= 9
         assert len({m.destination_id for m in migrations}) > 1
         assert plan == _plan(random.Random(11))
+
+
+class TestGammaPlannerDraws:
+    @pytest.mark.parametrize("gamma", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "destination", [None, DestinationStrategy.RANDOM]
+    )
+    def test_gamma_planner_draws_nothing(self, gamma, destination):
+        rng = CountingRandom(11)
+        state = rng.getstate()
+        options = {} if destination is None else {"destination": destination}
+        planner = GammaRobustStrategy(gamma=gamma).build_planner(
+            WorkingSetSampler(), rng, **options
+        )
+        plan = planner.plan(_idle_cluster())
+        assert plan.migration_count == 9
+        assert rng.calls == {"gauss": 0, "choice": 0}
+        assert rng.getstate() == state
 
 
 class TestTrafficSamplerDraws:
