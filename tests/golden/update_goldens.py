@@ -20,9 +20,12 @@ reading the diff defeats its purpose.
 * delay-sample count and zero-delay fraction,
 * the exact ``oasis-sim simulate`` stdout (byte-for-byte).
 
-``gamma_golden.json`` does the same for two Γ-robust policies, and
+``gamma_golden.json`` does the same for two Γ-robust policies,
 ``rack_golden.json`` pins the result snapshot of seven paper-scale
-900-VM days (``RACK_DAYS``; ``tests/test_rack_golden.py``).
+900-VM days (``RACK_DAYS``; ``tests/test_rack_golden.py``), and
+``fault_golden.json`` pins five heavy-fault small-farm days with their
+per-state time and energy split (``FAULT_DAYS``;
+``tests/test_fault_golden.py``).
 
 It also pins one traced mini-run (``trace_golden.jsonl`` byte-for-byte,
 plus its Chrome export ``trace_golden_chrome.json``) so the event
@@ -80,6 +83,23 @@ RACK_DAYS = {
     "GammaRobust@1/weekday": 35,
     "GammaRobust@3/weekday": 36,
     "GammaRobust@3/weekend": 37,
+}
+
+FAULT_GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "fault_golden.json"
+)
+
+#: One ``heavy``-fault weekday on FARM_SHAPE per policy.  The other
+#: farm goldens are fault-free, so these days are what pins aborted
+#: migrations and their rollbacks: NewHome runs all ten migration kinds
+#: here and FulltoPartial nine, each with over 150 aborted attempts.
+FAULT_PROFILE = "heavy"
+FAULT_DAYS = {
+    "OnlyPartial": 41,
+    "Default": 42,
+    "FulltoPartial": 43,
+    "NewHome": 44,
+    "GammaRobust@3": 45,
 }
 
 EQUIV_BASELINE_PATH = os.path.join(
@@ -223,6 +243,45 @@ def build_rack_goldens() -> dict:
     }
 
 
+def simulate_fault_day(policy_name: str, seed: int):
+    """One ``FAULT_DAYS`` entry: a heavy-fault weekday on FARM_SHAPE."""
+    from repro.core import strategy_by_name
+    from repro.farm import FarmConfig, simulate_day
+    from repro.faults import fault_profile_by_name
+    from repro.traces import DayType
+
+    config = FarmConfig(
+        **FARM_SHAPE, faults=fault_profile_by_name(FAULT_PROFILE)
+    )
+    return simulate_day(
+        config, strategy_by_name(policy_name), DayType.WEEKDAY, seed=seed
+    )
+
+
+def snapshot_fault_result(result) -> dict:
+    """``snapshot_result`` plus the per-state time and energy split."""
+    snapshot = snapshot_result(result)
+    snapshot["state_time_s"] = result.state_time_s
+    snapshot["state_energy_j"] = result.state_energy_j
+    return snapshot
+
+
+def build_fault_goldens() -> dict:
+    return {
+        "farm_shape": FARM_SHAPE,
+        "fault_profile": FAULT_PROFILE,
+        "days": {
+            policy_name: {
+                "seed": seed,
+                "result": snapshot_fault_result(
+                    simulate_fault_day(policy_name, seed)
+                ),
+            }
+            for policy_name, seed in FAULT_DAYS.items()
+        },
+    }
+
+
 def build_equiv_baseline() -> None:
     from repro.equiv import build_baseline, write_baseline
     from repro.farm import FarmConfig
@@ -290,6 +349,11 @@ def main() -> int:
         json.dump(rack, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {RACK_GOLDEN_PATH}")
+    fault = build_fault_goldens()
+    with open(FAULT_GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(fault, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {FAULT_GOLDEN_PATH}")
     build_trace_goldens()
     build_equiv_baseline()
     print("Diff it, explain every changed number, commit it with your change.")
