@@ -362,3 +362,28 @@ class TestComponentEmission:
             assert silent.migration_abort() == traced.migration_abort()
             assert silent.wake_outcome() == traced.wake_outcome()
             assert silent.page_timeouts() == traced.page_timeouts()
+
+    @pytest.mark.parametrize("policy_name", ["FulltoPartial", "NewHome"])
+    def test_farm_migration_events_name_distinct_endpoints(
+        self, policy_name
+    ):
+        """Every traced migration moves a VM between two hosts; an
+        in-place conversion pulls its image from the old home."""
+        from repro.core import strategy_by_name
+        from repro.farm import FarmConfig, simulate_day
+        from repro.faults import fault_profile_by_name
+        from repro.traces import DayType
+        from tests.golden.update_goldens import FARM_SHAPE, FAULT_DAYS
+
+        tracer = RecordingTracer()
+        config = FarmConfig(
+            **FARM_SHAPE, faults=fault_profile_by_name("heavy")
+        )
+        simulate_day(
+            config, strategy_by_name(policy_name), DayType.WEEKDAY,
+            seed=FAULT_DAYS[policy_name], tracer=tracer,
+        )
+        migrations = [e for e in tracer.events if e.category == "migration"]
+        assert "migration.convert_in_place" in {e.name for e in migrations}
+        for event in migrations:
+            assert event.args["source"] != event.args["destination"], event
