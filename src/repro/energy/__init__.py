@@ -12,7 +12,7 @@ from repro.energy.profile import (
     TABLE1_HOST,
     TABLE1_MEMORY_SERVER,
 )
-from repro.energy.accounting import EnergyAccountant, StateTimeTracker
+from repro.energy.accounting import EnergyAccountant
 from repro.energy.report import EnergyReport, baseline_energy_joules
 from repro.energy.costs import ElectricityTariff, SavingsStatement
 
@@ -22,7 +22,6 @@ __all__ = [
     "TABLE1_HOST",
     "TABLE1_MEMORY_SERVER",
     "EnergyAccountant",
-    "StateTimeTracker",
     "EnergyReport",
     "baseline_energy_joules",
     "ElectricityTariff",

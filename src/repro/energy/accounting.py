@@ -1,48 +1,121 @@
-"""Piecewise-constant power integration and state-time tracking."""
+"""One energy meter: piecewise power, power-state time, per-state energy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable, Optional
 
 from repro.errors import SimulationError
 
+#: Pseudo-state bucket for lump energy charged outside the piecewise
+#: power model (the no-memory-server wake tax).  Keeping it a distinct
+#: key makes ``sum(state_energy_j().values()) == total_joules()`` exact.
+SURCHARGE_STATE = "surcharge"
 
-@dataclass
-class _Meter:
-    watts: float
-    since: float
-    joules: float = 0.0
+
+class _Record:
+    """One entity: its open spans and its closed sums."""
+
+    __slots__ = (
+        "state", "watts", "power_since", "state_since", "edge_since",
+        "joules", "seconds",
+    )
+
+    def __init__(
+        self, state: Optional[str], watts: float, now: float,
+        joules: float = 0.0,
+    ) -> None:
+        self.state = state
+        self.watts = watts
+        #: Starts of the open power span, state span, and segment (the
+        #: span since the last edge of either kind).
+        self.power_since = now
+        self.state_since = now
+        self.edge_since = now
+        self.joules = joules
+        #: Closed seconds per state.
+        self.seconds: Dict[str, float] = {}
 
 
 class EnergyAccountant:
-    """Integrates energy for a set of entities with piecewise power.
+    """Integrates energy and power-state time for a set of entities.
 
     Each entity (host, memory server, switch, ...) reports power changes
-    through :meth:`set_power`; the accountant accumulates
-    ``watts x elapsed-seconds`` into per-entity joules.  Call
-    :meth:`finish` once at the simulation horizon to close open segments.
+    through :meth:`set_power` and power-state changes through
+    :meth:`set_state`.  The meter keeps three sums, each closed where
+    its own span ends:
+
+    * joules per entity, ``watts x elapsed-seconds`` closed at power
+      edges;
+    * seconds per (entity, state), closed at state edges;
+    * joules per state, closed at edges of either kind.
+
+    Call :meth:`finish` once at the simulation horizon to close the
+    open spans.
     """
 
+    __slots__ = ("_records", "_state_joules")
+
     def __init__(self) -> None:
-        self._meters: Dict[Hashable, _Meter] = {}
-        self._finished_at = None
+        #: Insertion-ordered: ``total_joules`` sums in first-seen order.
+        self._records: Dict[Hashable, _Record] = {}
+        self._state_joules: Dict[str, float] = {}
 
     def set_power(self, entity: Hashable, watts: float, now: float) -> None:
         """Record that ``entity`` draws ``watts`` from time ``now`` on."""
         if watts < 0.0:
             raise SimulationError(f"negative power {watts} W for {entity!r}")
-        meter = self._meters.get(entity)
-        if meter is None:
-            self._meters[entity] = _Meter(watts=watts, since=now)
+        record = self._records.get(entity)
+        if record is None:
+            self._records[entity] = _Record(None, watts, now)
             return
-        if now < meter.since:
+        since = record.edge_since
+        if now < since:
             raise SimulationError(
-                f"power update for {entity!r} at {now} precedes {meter.since}"
+                f"power update for {entity!r} at {now} precedes {since}"
             )
-        meter.joules += meter.watts * (now - meter.since)
-        meter.watts = watts
-        meter.since = now
+        before = record.watts
+        record.joules += before * (now - record.power_since)
+        state = record.state
+        if state is not None and now > since:
+            state_joules = self._state_joules
+            state_joules[state] = (
+                state_joules.get(state, 0.0) + before * (now - since)
+            )
+        record.watts = watts
+        record.power_since = now
+        record.edge_since = now
+
+    def set_state(self, entity: Hashable, state: str, now: float) -> None:
+        """Record that ``entity`` enters ``state`` at time ``now``."""
+        record = self._records.get(entity)
+        if record is None:
+            self._records[entity] = _Record(state, 0.0, now)
+            return
+        if now < record.edge_since:
+            raise SimulationError(
+                f"state update for {entity!r} at {now} precedes "
+                f"{record.edge_since}"
+            )
+        self._close_state(record, now)
+        record.state = state
+
+    def _close_state(self, record: _Record, now: float) -> None:
+        """Close the record's state span and segment at ``now``."""
+        state = record.state
+        if state is not None:
+            seconds = record.seconds
+            seconds[state] = (
+                seconds.get(state, 0.0) + (now - record.state_since)
+            )
+            since = record.edge_since
+            if now > since:
+                state_joules = self._state_joules
+                state_joules[state] = (
+                    state_joules.get(state, 0.0)
+                    + record.watts * (now - since)
+                )
+        record.state_since = now
+        record.edge_since = now
 
     def add_energy(self, entity: Hashable, joules: float) -> None:
         """Add a lump of energy outside the piecewise-power model.
@@ -50,83 +123,57 @@ class EnergyAccountant:
         Used for analytically-computed surcharges (e.g. the wake-up tax
         a sleeping host pays to serve page requests when it lacks a
         memory server) that would be wasteful to express as thousands of
-        tiny power segments.
+        tiny power segments.  The lump counts under
+        :data:`SURCHARGE_STATE`.
         """
         if joules < 0.0:
             raise SimulationError(f"negative energy {joules} J for {entity!r}")
-        meter = self._meters.get(entity)
-        if meter is None:
-            self._meters[entity] = _Meter(watts=0.0, since=0.0, joules=joules)
+        record = self._records.get(entity)
+        if record is None:
+            self._records[entity] = _Record(None, 0.0, 0.0, joules)
         else:
-            meter.joules += joules
+            record.joules += joules
+        state_joules = self._state_joules
+        state_joules[SURCHARGE_STATE] = (
+            state_joules.get(SURCHARGE_STATE, 0.0) + joules
+        )
 
     def finish(self, now: float) -> None:
-        """Close all open segments at the simulation horizon ``now``."""
-        for meter in self._meters.values():
-            if now < meter.since:
-                raise SimulationError("finish time precedes an open segment")
-            meter.joules += meter.watts * (now - meter.since)
-            meter.since = now
-        self._finished_at = now
+        """Close all open spans at the simulation horizon ``now``."""
+        for record in self._records.values():
+            if now < record.edge_since:
+                raise SimulationError("finish time precedes an open span")
+            record.joules += record.watts * (now - record.power_since)
+            record.power_since = now
+            self._close_state(record, now)
 
     def energy_joules(self, entity: Hashable) -> float:
-        """Accumulated energy for one entity (closed segments only)."""
-        meter = self._meters.get(entity)
-        return 0.0 if meter is None else meter.joules
+        """Accumulated energy for one entity (closed spans only)."""
+        record = self._records.get(entity)
+        return 0.0 if record is None else record.joules
 
     def total_joules(self) -> float:
         """Accumulated energy over all entities."""
-        return sum(meter.joules for meter in self._meters.values())
+        return sum(record.joules for record in self._records.values())
 
     def entities(self):
-        """All entities that ever reported power."""
-        return list(self._meters)
+        """All entities that ever reported power, state or energy."""
+        return list(self._records)
 
-
-class StateTimeTracker:
-    """Tracks how long each entity spends in each named state.
-
-    Used for the home-host sleep-fraction metric and for validating power
-    accounting (sleep time x sleep watts should match the meter).
-    """
-
-    def __init__(self) -> None:
-        self._current: Dict[Hashable, Tuple[str, float]] = {}
-        self._durations: Dict[Tuple[Hashable, str], float] = {}
-
-    def set_state(self, entity: Hashable, state: str, now: float) -> None:
-        """Record that ``entity`` enters ``state`` at time ``now``."""
-        previous = self._current.get(entity)
-        if previous is not None:
-            old_state, since = previous
-            if now < since:
-                raise SimulationError(
-                    f"state update for {entity!r} at {now} precedes {since}"
-                )
-            key = (entity, old_state)
-            self._durations[key] = self._durations.get(key, 0.0) + (now - since)
-        self._current[entity] = (state, now)
-
-    def finish(self, now: float) -> None:
-        """Close all open states at the simulation horizon."""
-        for entity in list(self._current):
-            state, _since = self._current[entity]
-            self.set_state(entity, state, now)
-
-    def duration(self, entity: Hashable, state: str) -> float:
+    def state_duration(self, entity: Hashable, state: str) -> float:
         """Seconds ``entity`` spent in ``state`` (closed spans only)."""
-        return self._durations.get((entity, state), 0.0)
+        record = self._records.get(entity)
+        return 0.0 if record is None else record.seconds.get(state, 0.0)
 
-    def total_duration(self, state: str) -> float:
-        """Seconds spent in ``state`` summed over all entities."""
-        return sum(
-            seconds
-            for (_entity, tracked_state), seconds in self._durations.items()
-            if tracked_state == state
-        )
+    def state_time_s(self) -> Dict[str, float]:
+        """Total seconds per power state, summed over all entities."""
+        totals: Dict[str, float] = {}
+        for entity in sorted(self._records, key=str):
+            seconds = self._records[entity].seconds
+            for state in sorted(seconds):
+                totals[state] = totals.get(state, 0.0) + seconds[state]
+        return dict(sorted(totals.items()))
 
-    def fraction(self, entity: Hashable, state: str, horizon: float) -> float:
-        """Fraction of ``horizon`` that ``entity`` spent in ``state``."""
-        if horizon <= 0.0:
-            raise SimulationError("horizon must be positive")
-        return self.duration(entity, state) / horizon
+    def state_energy_j(self) -> Dict[str, float]:
+        """Energy per power state (plus :data:`SURCHARGE_STATE`)."""
+        return dict(sorted(self._state_joules.items()))

@@ -3,8 +3,10 @@
 The paper measured its custom host and memory server with a power meter;
 our "meter" drives the host model through the same phases — fully idle,
 running 20 VMs, suspending, sleeping, resuming — on the discrete-event
-kernel, integrates energy with the production accounting code, and
-derives each phase's mean power from measured energy over measured time.
+kernel, integrates energy with the farm's own meter
+(:class:`~repro.energy.accounting.EnergyAccountant`, which the farm's
+accounting ledger extends), and derives each phase's mean power from
+measured energy over measured time.
 This is circular with respect to the Table 1 *constants* (they are
 inputs), but it validates end to end that the state machine, the event
 scheduling, and the energy integration reproduce them exactly — the same

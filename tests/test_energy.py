@@ -1,5 +1,8 @@
 """Power profiles, energy accounting, and the savings metric."""
 
+import math
+import random
+
 import pytest
 
 from repro.energy import (
@@ -7,11 +10,11 @@ from repro.energy import (
     EnergyReport,
     HostPowerProfile,
     MemoryServerProfile,
-    StateTimeTracker,
     TABLE1_HOST,
     TABLE1_MEMORY_SERVER,
     baseline_energy_joules,
 )
+from repro.energy.accounting import SURCHARGE_STATE
 from repro.errors import ConfigError, SimulationError
 
 
@@ -106,33 +109,141 @@ class TestEnergyAccountant:
 
 
 class TestStateTimeTracker:
-    def test_durations_accumulate(self):
-        tracker = StateTimeTracker()
-        tracker.set_state("h", "powered", now=0.0)
-        tracker.set_state("h", "sleeping", now=60.0)
-        tracker.set_state("h", "powered", now=100.0)
-        tracker.finish(now=160.0)
-        assert tracker.duration("h", "powered") == pytest.approx(120.0)
-        assert tracker.duration("h", "sleeping") == pytest.approx(40.0)
+    """Power-state residence time on the one meter."""
 
-    def test_fraction(self):
-        tracker = StateTimeTracker()
-        tracker.set_state("h", "sleeping", now=0.0)
-        tracker.finish(now=100.0)
-        assert tracker.fraction("h", "sleeping", horizon=200.0) == pytest.approx(0.5)
+    def test_durations_accumulate(self):
+        meter = EnergyAccountant()
+        meter.set_state("h", "powered", now=0.0)
+        meter.set_state("h", "sleeping", now=60.0)
+        meter.set_state("h", "powered", now=100.0)
+        meter.finish(now=160.0)
+        assert meter.state_duration("h", "powered") == pytest.approx(120.0)
+        assert meter.state_duration("h", "sleeping") == pytest.approx(40.0)
 
     def test_total_duration_sums_entities(self):
-        tracker = StateTimeTracker()
-        tracker.set_state("a", "sleeping", now=0.0)
-        tracker.set_state("b", "sleeping", now=0.0)
-        tracker.finish(now=10.0)
-        assert tracker.total_duration("sleeping") == pytest.approx(20.0)
+        meter = EnergyAccountant()
+        meter.set_state("a", "sleeping", now=0.0)
+        meter.set_state("b", "sleeping", now=0.0)
+        meter.finish(now=10.0)
+        assert meter.state_time_s() == {"sleeping": pytest.approx(20.0)}
 
     def test_out_of_order_rejected(self):
-        tracker = StateTimeTracker()
-        tracker.set_state("h", "powered", now=10.0)
+        meter = EnergyAccountant()
+        meter.set_state("h", "powered", now=10.0)
         with pytest.raises(SimulationError):
-            tracker.set_state("h", "sleeping", now=5.0)
+            meter.set_state("h", "sleeping", now=5.0)
+
+    def test_edge_before_the_other_kinds_last_edge_rejected(self):
+        meter = EnergyAccountant()
+        meter.set_power("h", 10.0, now=10.0)
+        with pytest.raises(SimulationError):
+            meter.set_state("h", "sleeping", now=5.0)
+
+    def test_finish_before_an_open_span_rejected(self):
+        meter = EnergyAccountant()
+        meter.set_state("h", "powered", now=10.0)
+        with pytest.raises(SimulationError):
+            meter.finish(now=5.0)
+
+
+def _reference_integration(edges, horizon):
+    """Integrate an edge list the long way: per-entity piecewise power
+    and state timelines, each span integrated over its whole length."""
+    joules, seconds, state_joules = {}, {}, {}
+    timelines = {}
+    for entity, kind, value, now in edges:
+        if kind == "energy":
+            joules[entity] = joules.get(entity, 0.0) + value
+            state_joules[SURCHARGE_STATE] = (
+                state_joules.get(SURCHARGE_STATE, 0.0) + value
+            )
+            continue
+        timelines.setdefault(entity, []).append((now, kind, value))
+    for entity, timeline in timelines.items():
+        watts, state, last = 0.0, None, None
+        power_since = state_since = None
+        for now, kind, value in timeline + [(horizon, "end", None)]:
+            if last is not None and state is not None:
+                state_joules[state] = (
+                    state_joules.get(state, 0.0) + watts * (now - last)
+                )
+            if kind in ("power", "end") and power_since is not None:
+                joules[entity] = (
+                    joules.get(entity, 0.0) + watts * (now - power_since)
+                )
+            if kind in ("state", "end") and state is not None:
+                key = (entity, state)
+                seconds[key] = seconds.get(key, 0.0) + (now - state_since)
+            if kind == "power":
+                watts, power_since = value, now
+            elif kind == "state":
+                state, state_since = value, now
+            last = now
+    return joules, seconds, state_joules
+
+
+class TestOneMeterRandomized:
+    """Seeded interleavings of the three writes against a reference."""
+
+    STATES = ("powered", "suspending", "sleeping", "resuming")
+
+    def _edges(self, rng):
+        entities = [f"host-{index}" for index in range(rng.randint(1, 4))]
+        edges, now = [], 0.0
+        for entity in entities:
+            # Hosts report power, then state, as the farm does.
+            edges.append((entity, "power", rng.uniform(0.0, 200.0), now))
+            edges.append((entity, "state", rng.choice(self.STATES), now))
+        for _ in range(rng.randint(0, 60)):
+            if rng.random() < 0.6:
+                # Many edges share an instant, as in one event callback.
+                now += rng.choice((0.0, 0.0, rng.uniform(0.0, 500.0)))
+            roll = rng.random()
+            entity = rng.choice(entities)
+            if roll < 0.5:
+                edges.append((entity, "power", rng.uniform(0.0, 200.0), now))
+            elif roll < 0.85:
+                edges.append((entity, "state", rng.choice(self.STATES), now))
+            else:
+                tax = ("wake-tax", rng.choice(entities))
+                edges.append((tax, "energy", rng.uniform(0.0, 1e4), now))
+        return edges, now + rng.uniform(0.0, 500.0)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_sums_match_reference_integration(self, seed):
+        edges, horizon = self._edges(random.Random(seed))
+        meter = EnergyAccountant()
+        for entity, kind, value, now in edges:
+            if kind == "power":
+                meter.set_power(entity, value, now)
+            elif kind == "state":
+                meter.set_state(entity, value, now)
+            else:
+                meter.add_energy(entity, value)
+        meter.finish(horizon)
+        joules, seconds, state_joules = _reference_integration(
+            edges, horizon
+        )
+
+        def close(actual, expected):
+            return math.isclose(actual, expected, rel_tol=1e-12,
+                                abs_tol=1e-9)
+
+        assert set(meter.entities()) == set(joules) | {
+            entity for entity, _state in seconds
+        }
+        for entity, expected in joules.items():
+            assert close(meter.energy_joules(entity), expected), entity
+        for (entity, state), expected in seconds.items():
+            assert close(meter.state_duration(entity, state), expected)
+        split = meter.state_energy_j()
+        assert set(split) <= set(state_joules)
+        for state, expected in state_joules.items():
+            assert close(split.get(state, 0.0), expected), state
+        assert math.isclose(
+            sum(split.values()), meter.total_joules(), rel_tol=1e-9,
+            abs_tol=1e-9,
+        )
 
 
 class TestBaselineAndReport:

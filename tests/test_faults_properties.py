@@ -133,10 +133,9 @@ class TestRandomScheduleInvariants:
 
     def test_per_host_energy_sums_to_cluster_total(self, battery):
         for case in battery:
-            accountant = case.simulation.ledger.accountant
+            ledger = case.simulation.ledger
             by_entity = sum(
-                accountant.energy_joules(entity)
-                for entity in accountant.entities()
+                ledger.energy_joules(entity) for entity in ledger.entities()
             )
             assert by_entity == pytest.approx(
                 case.simulation.result.energy.managed_joules, rel=1e-9
