@@ -17,6 +17,7 @@ from repro.core.placement import _ShadowCapacity
 from repro.core.plan import MigrationMode, PlannedMigration
 from repro.errors import ConfigError
 from repro.farm import FarmConfig, FarmSimulation
+from repro.faults import fault_profile_by_name
 from repro.migration.traffic import TrafficLedger
 from repro.obs.tracer import RecordingTracer
 from repro.simulator.engine import Simulator
@@ -241,13 +242,23 @@ class TestEdgeScheduleBattery:
             for index, active in enumerate(trace.intervals):
                 assert schedule.activity_at(vm_id, index) == active
 
-    def test_debug_index_mode_stays_clean(self, monkeypatch):
+    @pytest.mark.parametrize("faults", ["none", "heavy"])
+    @pytest.mark.parametrize("policy", [
+        "OnlyPartial", "Default", "FulltoPartial", "NewHome",
+        "GammaRobust@3",
+    ])
+    def test_debug_index_mode_stays_clean(self, monkeypatch, policy, faults):
+        # Every shared move, and under heavy faults its rollback, runs
+        # under the per-interval rescan.
         monkeypatch.setenv("REPRO_DEBUG_INDEXES", "1")
         config = FarmConfig(
-            home_hosts=3, consolidation_hosts=1, vms_per_host=3
+            home_hosts=3, consolidation_hosts=1, vms_per_host=3,
+            faults=fault_profile_by_name(faults),
         )
         simulation = FarmSimulation(
-            config, FULL_TO_PARTIAL, small_ensemble(9, seed=3), seed=1
+            config, policy, small_ensemble(9, seed=3), seed=1
         )
         assert simulation._debug_indexes
         simulation.run()  # verifies indexes at every interval boundary
+        if faults == "heavy":
+            assert simulation.faults.migration_aborts > 0
