@@ -3,7 +3,8 @@
 The simulation's three load-bearing disciplines are conventions, not
 types: deterministic named RNG streams, one unit system encoded in
 identifier suffixes, and declared state machines for VMs and hosts.
-This package turns those conventions into machine-checked rules:
+This package turns those conventions into machine-checked rules.  Four
+packs check one module at a time:
 
 * ``DET1xx`` — everything stochastic flows through
   :class:`~repro.simulator.randomness.RngStreams`; no wall clocks, no
@@ -15,27 +16,26 @@ This package turns those conventions into machine-checked rules:
 * ``API1xx`` — every ``__all__`` entry resolves and every public
   ``__init__`` symbol is exported exactly once.
 
-Cross-module properties the per-file packs cannot see are proven by the
-whole-program packs in :mod:`repro.checkers.flow` (run with
-``--project``): RNG-stream attribution through the call graph
-(``FLOW1xx``), index-write encapsulation (``ENC2xx``), and trace purity
-(``TRC3xx``), with a content-hash summary cache and a reviewed
-``flow-baseline.json``.
+Three packs in :mod:`repro.checkers.flow` prove the cross-module
+properties a single module cannot show: RNG-stream attribution through
+the call graph (``FLOW1xx``), index-write encapsulation (``ENC2xx``),
+and trace purity (``TRC3xx``).
 
-Run it with ``python -m repro.checkers [paths]``; suppress one finding
-with a ``# repro: noqa[RULE]`` comment on the flagged line, or a whole
-file with ``# repro: noqa-file[RULE]``.
+``python -m repro.checkers [paths]`` runs all seven packs in one pass
+that parses each file once; suppress one finding with a
+``# repro: noqa[RULE]`` comment on the flagged line, or a whole file
+with ``# repro: noqa-file[RULE]``.
 """
 
 from repro.checkers.base import (
     ModuleContext,
+    ProjectRule,
     Rule,
     all_rules,
     register,
     rules_by_id,
 )
 from repro.checkers.driver import (
-    check_file,
     check_paths,
     check_source,
     iter_python_files,
@@ -47,9 +47,9 @@ from repro.checkers.suppress import collect_suppressions, is_suppressed
 __all__ = [
     "Finding",
     "ModuleContext",
+    "ProjectRule",
     "Rule",
     "all_rules",
-    "check_file",
     "check_paths",
     "check_source",
     "collect_suppressions",

@@ -1,19 +1,33 @@
-"""Rule base class, per-file module context, and the rule registry.
+"""Rule base classes, per-file module context, and the one rule registry.
 
-A rule is a small object with an id, a one-line summary, and a
-``check(ctx)`` generator yielding :class:`~repro.checkers.findings.Finding`
-objects for one parsed module.  Rules register themselves with
-:func:`register` at import time; the driver instantiates every registered
-rule for every file it visits.
+A rule is a small object with an id, a one-line summary, a fix hint and
+a ``check`` generator yielding :class:`~repro.checkers.findings.Finding`
+objects.  It comes in two kinds: a :class:`Rule` checks one parsed
+module (:class:`ModuleContext`), and a :class:`ProjectRule` checks the
+linked whole-program view
+(:class:`~repro.checkers.flow.project.ProjectContext`).  Both kinds
+register themselves with :func:`register` at import time, and the
+driver runs every registered rule of both kinds in one pass.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, Iterable, Iterator, List, Optional, Type
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Type,
+)
 
 from repro.checkers.findings import Finding
+
+if TYPE_CHECKING:
+    from repro.checkers.flow.project import FuncKey, ProjectContext
 
 
 @dataclasses.dataclass
@@ -62,7 +76,7 @@ class ModuleContext:
 
 
 class Rule:
-    """Base class for one lint rule.
+    """Base class for one lint rule that checks a single module.
 
     Subclasses set :attr:`rule_id`, :attr:`summary`, and :attr:`hint`,
     and implement :meth:`check`.
@@ -77,6 +91,38 @@ class Rule:
 
     def __repr__(self) -> str:
         return f"<Rule {self.rule_id}: {self.summary}>"
+
+
+class ProjectRule(Rule):
+    """Base class for one rule that checks the linked whole program.
+
+    :meth:`check` receives the
+    :class:`~repro.checkers.flow.project.ProjectContext` built from every
+    module of the pass instead of a single :class:`ModuleContext`.
+    """
+
+    def check(  # type: ignore[override]
+        self, project: ProjectContext
+    ) -> Iterator[Finding]:
+        raise NotImplementedError
+
+    def finding(
+        self,
+        project: ProjectContext,
+        func_key: FuncKey,
+        line: int,
+        col: int,
+        message: str,
+    ) -> Finding:
+        """Build this rule's :class:`Finding` inside ``func_key``'s file."""
+        return Finding(
+            path=project.path_of(func_key),
+            line=line,
+            col=col,
+            rule_id=self.rule_id,
+            message=message,
+            hint=self.hint,
+        )
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -94,12 +140,16 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
 
 
 def all_rules() -> List[Type[Rule]]:
-    """Every registered rule class, sorted by rule id."""
+    """Every registered rule class of both kinds, sorted by rule id."""
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
 
 
 def rules_by_id(rule_ids: Iterable[str]) -> List[Type[Rule]]:
-    """Resolve rule ids (or pack prefixes like ``DET``) to classes."""
+    """Resolve rule ids (or pack prefixes like ``DET``) to classes.
+
+    Ids and prefixes from any pack may be mixed; one that matches no
+    registered rule raises :class:`KeyError`.
+    """
     wanted: List[Type[Rule]] = []
     for rid in rule_ids:
         if rid in _REGISTRY:

@@ -1,17 +1,12 @@
 """Command-line entry point: ``python -m repro.checkers [paths...]``.
 
+One pass runs every rule of all seven packs (``DET``, ``UNIT``, ``SM``,
+``API``, ``FLOW``, ``ENC``, ``TRC``) unless ``--rules`` selects a subset.
 Exit status is 0 when the tree is clean, 1 when any finding survives
-suppression (and, in project mode, the baseline), 2 on usage errors.
-
-Two modes share one interface:
-
-- default: the per-file packs (``DET``, ``UNIT``, ``SM``, ``API``).
-- ``--project``: the whole-program packs (``FLOW``, ``ENC``, ``TRC``),
-  built from content-hash-cached per-module summaries, filtered through
-  the reviewed baseline file.
+suppression, 2 on usage errors.
 
 ``--format json`` emits a machine-readable report; ``--format sarif``
-(project mode) emits SARIF 2.1.0 for code-scanning UIs.
+emits SARIF 2.1.0 for code-scanning UIs.
 """
 
 from __future__ import annotations
@@ -23,7 +18,8 @@ import sys
 from typing import List, Optional
 
 from repro.checkers.base import all_rules, rules_by_id
-from repro.checkers.driver import check_paths
+from repro.checkers.driver import check_paths, iter_python_files
+from repro.checkers.sarif import to_sarif
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,8 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.checkers",
         description=(
             "AST-based invariant linter: determinism, unit-suffix safety, "
-            "state machines, API surface, and (with --project) whole-"
-            "program RNG/encapsulation/trace-purity analysis."
+            "state machines, API surface, and whole-program RNG "
+            "attribution, index encapsulation and trace purity."
         ),
     )
     parser.add_argument(
@@ -45,14 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=("text", "json", "sarif"),
         default="text",
-        help="report format (default: text; sarif requires --project)",
+        help="report format (default: text)",
     )
     parser.add_argument(
         "--rules",
         default=None,
         help=(
-            "comma-separated rule ids or pack prefixes, e.g. "
-            "DET101,UNIT (per-file) or FLOW,ENC201 (with --project)"
+            "comma-separated rule ids or pack prefixes from any pack, "
+            "e.g. DET101,UNIT,FLOW"
         ),
     )
     parser.add_argument(
@@ -60,101 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list registered rules and exit",
     )
-    parser.add_argument(
-        "--project",
-        action="store_true",
-        help="run the whole-program FLOW/ENC/TRC packs instead of the "
-        "per-file packs",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "reviewed baseline of accepted project findings (default: "
-            "flow-baseline.json when it exists; project mode only)"
-        ),
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="FILE",
-        help=(
-            "summary cache location (default: .repro_flow_cache.json; "
-            "project mode only)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the summary cache for this run",
-    )
     return parser
-
-
-def _split_rules(spec: str) -> List[str]:
-    return [r.strip() for r in spec.split(",") if r.strip()]
-
-
-def _run_project(args: argparse.Namespace) -> int:
-    from repro.checkers.flow.baseline import DEFAULT_BASELINE_PATH
-    from repro.checkers.flow.cache import DEFAULT_CACHE_PATH
-    from repro.checkers.flow.runner import (
-        check_project,
-        project_rule_metadata,
-    )
-    from repro.checkers.flow.sarif import to_sarif
-
-    rule_ids = _split_rules(args.rules) if args.rules else None
-    if rule_ids is not None:
-        from repro.checkers.flow.project import project_rules_by_id
-
-        if not project_rules_by_id(rule_ids):
-            print(
-                f"error: no project rule matches {args.rules!r}",
-                file=sys.stderr,
-            )
-            return 2
-
-    baseline = args.baseline
-    if baseline is None and os.path.exists(DEFAULT_BASELINE_PATH):
-        baseline = DEFAULT_BASELINE_PATH
-    cache = None if args.no_cache else (args.cache or DEFAULT_CACHE_PATH)
-
-    result = check_project(
-        args.paths,
-        rule_ids=rule_ids,
-        baseline_path=baseline,
-        cache_path=cache,
-    )
-    findings = result.findings
-
-    if args.format == "sarif":
-        print(
-            json.dumps(
-                to_sarif(findings, rule_meta=project_rule_metadata()),
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    elif args.format == "json":
-        report = {
-            "findings": [f.to_dict() for f in findings],
-            "count": len(findings),
-            "clean": not findings,
-            "cache": {
-                "hits": result.cache_hits,
-                "misses": result.cache_misses,
-            },
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for finding in findings:
-            print(finding.render())
-        noun = "finding" if len(findings) == 1 else "findings"
-        print(f"{len(findings)} {noun}")
-
-    return 1 if findings else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -164,19 +66,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         for rule_cls in all_rules():
             print(f"{rule_cls.rule_id:8s} {rule_cls.summary}")
-        from repro.checkers.flow.project import all_project_rules
-        from repro.checkers.flow import runner as _runner  # noqa: F401
-
-        for project_rule in all_project_rules():
-            print(
-                f"{project_rule.rule_id:8s} {project_rule.summary} "
-                "(--project)"
-            )
         return 0
-
-    if args.format == "sarif" and not args.project:
-        print("error: --format sarif requires --project", file=sys.stderr)
-        return 2
 
     # A typo'd path silently reporting "0 findings" would turn the CI
     # gate into a no-op; fail loudly instead.
@@ -185,21 +75,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         for path in missing:
             print(f"error: no such file or directory: {path}", file=sys.stderr)
         return 2
+    files = iter_python_files(args.paths)
+    if not files:
+        print(
+            f"error: no .py file under {' '.join(args.paths)}",
+            file=sys.stderr,
+        )
+        return 2
 
-    if args.project:
-        return _run_project(args)
-
-    rules = None
+    rules = all_rules()
     if args.rules:
         try:
-            rules = rules_by_id(_split_rules(args.rules))
+            rules = rules_by_id(
+                [r.strip() for r in args.rules.split(",") if r.strip()]
+            )
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
 
-    findings = check_paths(args.paths, rules=rules)
+    findings, _ = check_paths(files, rules=rules)
 
-    if args.format == "json":
+    if args.format == "sarif":
+        report = to_sarif(findings, rules)
+        print(json.dumps(report, indent=2, sort_keys=True))
+    elif args.format == "json":
         report = {
             "findings": [f.to_dict() for f in findings],
             "count": len(findings),

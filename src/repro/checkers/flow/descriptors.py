@@ -3,8 +3,7 @@
 A *descriptor* is a small immutable tree (nested tuples) approximating
 where a runtime value came from, precise enough to answer the three
 questions the FLOW/ENC/TRC packs ask — "which RNG stream is this?",
-"which attribute does this alias?", "is this a tracer?" — while staying
-JSON-serialisable so per-module summaries can be cached by content hash.
+"which attribute does this alias?", "is this a tracer?".
 
 Grammar (first element is the tag)::
 
@@ -192,16 +191,3 @@ def walk_shallow(root: ast.AST):
             continue
         stack.extend(ast.iter_child_nodes(node))
 
-
-def to_json(desc: Any) -> Any:
-    """Descriptor -> JSON-ready nested lists (tuples become lists)."""
-    if isinstance(desc, tuple):
-        return [to_json(part) for part in desc]
-    return desc
-
-
-def from_json(data: Any) -> Any:
-    """JSON nested lists -> descriptor (inverse of :func:`to_json`)."""
-    if isinstance(data, list):
-        return tuple(from_json(part) for part in data)
-    return data

@@ -11,10 +11,11 @@ touching an AST.
 
 Soundness posture: the analysis is *conservative for the questions the
 rules ask*.  A draw whose receiver cannot be proven attributed is
-flagged (FLOW101 errs toward noise, quenched by the reviewed baseline);
-an index write whose receiver type is unknown counts against the
-sanctioned-mutator set; a call edge that cannot be resolved simply does
-not propagate attribution (never invents it).
+flagged (FLOW101 errs toward noise; an accepted one carries a reviewed
+``# repro: noqa[FLOW101]``); an index write whose receiver type is
+unknown counts against the sanctioned-mutator set; a call edge that
+cannot be resolved simply does not propagate attribution (never invents
+it).
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    Type,
 )
 
-from repro.checkers.findings import Finding
 from repro.checkers.flow.descriptors import (
     DRAW_METHODS,
     OPAQUE,
@@ -897,83 +896,3 @@ class ProjectContext:
 
     def path_of(self, func_key: FuncKey) -> str:
         return self.paths.get(func_key[0], func_key[0])
-
-    def finding(
-        self,
-        func_key: FuncKey,
-        line: int,
-        col: int,
-        rule_id: str,
-        message: str,
-        hint: str = "",
-    ) -> Finding:
-        return Finding(
-            path=self.path_of(func_key),
-            line=line,
-            col=col,
-            rule_id=rule_id,
-            message=message,
-            hint=hint,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Project rule registry
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ProjectFinding:
-    """A finding plus the function it anchors to (for baselining)."""
-
-    finding: Finding
-    module: str
-    function: str
-
-
-class ProjectRule:
-    """Base class for one whole-program rule."""
-
-    rule_id: str = ""
-    summary: str = ""
-    hint: str = ""
-
-    def check(self, project: ProjectContext) -> Iterator[ProjectFinding]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<ProjectRule {self.rule_id}: {self.summary}>"
-
-
-_PROJECT_REGISTRY: Dict[str, Type[ProjectRule]] = {}
-
-
-def register_project(rule_cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    rule_id = rule_cls.rule_id
-    if not rule_id:
-        raise ValueError(f"project rule {rule_cls.__name__} has no rule_id")
-    existing = _PROJECT_REGISTRY.get(rule_id)
-    if existing is not None and existing is not rule_cls:
-        raise ValueError(f"duplicate project rule id {rule_id}")
-    _PROJECT_REGISTRY[rule_id] = rule_cls
-    return rule_cls
-
-
-def all_project_rules() -> List[Type[ProjectRule]]:
-    return [_PROJECT_REGISTRY[k] for k in sorted(_PROJECT_REGISTRY)]
-
-
-def project_rules_by_id(rule_ids: Iterable[str]) -> List[Type[ProjectRule]]:
-    """Resolve project rule ids or pack prefixes (``FLOW``, ``ENC``...)."""
-    wanted: List[Type[ProjectRule]] = []
-    for rid in rule_ids:
-        if rid in _PROJECT_REGISTRY:
-            wanted.append(_PROJECT_REGISTRY[rid])
-            continue
-        pack = [
-            cls
-            for k, cls in sorted(_PROJECT_REGISTRY.items())
-            if k.startswith(rid)
-        ]
-        wanted.extend(pack)
-    return wanted

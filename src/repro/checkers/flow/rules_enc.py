@@ -20,14 +20,10 @@ from __future__ import annotations
 import dataclasses
 from typing import FrozenSet, Iterator, Optional, Tuple
 
+from repro.checkers.base import ProjectRule, register
+from repro.checkers.findings import Finding
 from repro.checkers.flow.descriptors import MUTATING_METHODS, SELF, Desc
-from repro.checkers.flow.project import (
-    FuncKey,
-    ProjectContext,
-    ProjectFinding,
-    ProjectRule,
-    register_project,
-)
+from repro.checkers.flow.project import FuncKey, ProjectContext
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,18 +185,7 @@ def _is_sanctioned(spec: IndexSpec, func_key: FuncKey, qual: str) -> bool:
     return func_key[0] == _spec_module(spec) and qual in spec.mutators
 
 
-def _mk(project: ProjectContext, rule: ProjectRule, func_key, line, col,
-        message: str) -> ProjectFinding:
-    return ProjectFinding(
-        finding=project.finding(
-            func_key, line, col, rule.rule_id, message, rule.hint
-        ),
-        module=func_key[0],
-        function=func_key[1],
-    )
-
-
-@register_project
+@register
 class RogueIndexWrite(ProjectRule):
     rule_id = "ENC201"
     summary = "index-backing attributes change only via sanctioned mutators"
@@ -210,7 +195,7 @@ class RogueIndexWrite(ProjectRule):
         "function to the table with a reason"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         for func_key, func in project.iter_functions():
             for spec in INDEX_SPECS:
                 if _is_sanctioned(spec, func_key, func.qual):
@@ -222,8 +207,8 @@ class RogueIndexWrite(ProjectRule):
                         project, spec, write.recv, func_key
                     ):
                         continue
-                    yield _mk(
-                        project, self, func_key, write.line, write.col,
+                    yield self.finding(
+                        project, func_key, write.line, write.col,
                         f"{func.qual} writes index attribute "
                         f"{spec.cls.rsplit('.', 1)[1]}.{write.attr} "
                         f"({write.kind}) outside its sanctioned mutators",
@@ -235,8 +220,8 @@ class RogueIndexWrite(ProjectRule):
                     attr, recv = attr_recv
                     if not _receiver_targets(project, spec, recv, func_key):
                         continue
-                    yield _mk(
-                        project, self, func_key, call.line, call.col,
+                    yield self.finding(
+                        project, func_key, call.line, call.col,
                         f"{func.qual} mutates index attribute "
                         f"{spec.cls.rsplit('.', 1)[1]}.{attr} in place "
                         f"(.{call.callee[2]}()) outside its sanctioned "
@@ -269,7 +254,7 @@ class RogueIndexWrite(ProjectRule):
         return None
 
 
-@register_project
+@register
 class LeakedIndexHandle(ProjectRule):
     rule_id = "ENC202"
     summary = "non-mutator methods must not return raw index objects"
@@ -278,7 +263,7 @@ class LeakedIndexHandle(ProjectRule):
         "view instead of the live index container"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         for func_key, func in project.iter_functions():
             if func.cls is None:
                 continue
@@ -297,8 +282,8 @@ class LeakedIndexHandle(ProjectRule):
                         and desc[0] == "selfattr"
                         and desc[1] in spec.leakable
                     ):
-                        yield _mk(
-                            project, self, func_key, line, 1,
+                        yield self.finding(
+                            project, func_key, line, 1,
                             f"{func.qual} returns the live index object "
                             f"self.{desc[1]}; callers could mutate it "
                             "behind the sanctioned mutators' back",

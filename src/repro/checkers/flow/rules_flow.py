@@ -13,12 +13,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.checkers.flow.project import (
-    ProjectContext,
-    ProjectFinding,
-    ProjectRule,
-    register_project,
-)
+from repro.checkers.base import ProjectRule, register
+from repro.checkers.findings import Finding
+from repro.checkers.flow.project import ProjectContext
 
 #: Module prefixes FLOW1xx ignores (the analysis tooling itself).
 _FLOW_EXEMPT = ("repro.checkers",)
@@ -32,18 +29,7 @@ def _in_flow_scope(module: str) -> bool:
     )
 
 
-def _mk(project: ProjectContext, rule: ProjectRule, func_key, line, col,
-        message: str) -> ProjectFinding:
-    return ProjectFinding(
-        finding=project.finding(
-            func_key, line, col, rule.rule_id, message, rule.hint
-        ),
-        module=func_key[0],
-        function=func_key[1],
-    )
-
-
-@register_project
+@register
 class UnattributedDraw(ProjectRule):
     rule_id = "FLOW101"
     summary = "every draw must attribute to exactly one named RNG stream"
@@ -52,20 +38,20 @@ class UnattributedDraw(ProjectRule):
         "random.Random seeded at construction to this receiver"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         for draw in project.draws:
             if not _in_flow_scope(draw.func[0]):
                 continue
             if draw.tokens or draw.external:
                 continue
-            yield _mk(
-                project, self, draw.func, draw.call.line, draw.call.col,
+            yield self.finding(
+                project, draw.func, draw.call.line, draw.call.col,
                 f".{draw.method}() draw does not resolve to any RNG "
                 "stream; randomness here is invisible to seed discipline",
             )
 
 
-@register_project
+@register
 class UnguardedFaultDraw(ProjectRule):
     rule_id = "FLOW102"
     summary = "fault-injection draws must short-circuit on zero probability"
@@ -74,7 +60,7 @@ class UnguardedFaultDraw(ProjectRule):
         "draw so disabled faults never advance the stream"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         first_draw = {}
         for draw in project.draws:
             module = draw.func[0]
@@ -92,15 +78,15 @@ class UnguardedFaultDraw(ProjectRule):
                 order < draw.call.order for order, _, _ in func.prob_guards
             )
             if not guarded:
-                yield _mk(
-                    project, self, func_key, draw.call.line, draw.call.col,
+                yield self.finding(
+                    project, func_key, draw.call.line, draw.call.col,
                     f"{func.qual} draws at order {draw.call.order} with no "
                     "zero-probability short-circuit before it; a disabled "
                     "fault profile would still advance the stream",
                 )
 
 
-@register_project
+@register
 class DrawUnderTraceGuard(ProjectRule):
     rule_id = "FLOW103"
     summary = "stochastic work under a tracer guard must be mirrored"
@@ -110,7 +96,7 @@ class DrawUnderTraceGuard(ProjectRule):
         "identical stream state"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         for func_key, func in project.iter_functions():
             if not _in_flow_scope(func_key[0]):
                 continue
@@ -133,8 +119,8 @@ class DrawUnderTraceGuard(ProjectRule):
                     continue
                 callee = project.functions.get(target[1])
                 name = callee.qual if callee else str(target[1])
-                yield _mk(
-                    project, self, func_key, call.line, call.col,
+                yield self.finding(
+                    project, func_key, call.line, call.col,
                     f"call to stochastic {name} sits under the tracer "
                     f"guard at line {call.tguard} with no mirrored call "
                     "in the else branch; traced and untraced runs would "

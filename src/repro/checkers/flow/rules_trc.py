@@ -17,13 +17,10 @@ from __future__ import annotations
 
 from typing import Iterator, List, Tuple
 
+from repro.checkers.base import ProjectRule, register
+from repro.checkers.findings import Finding
 from repro.checkers.flow.descriptors import Desc
-from repro.checkers.flow.project import (
-    ProjectContext,
-    ProjectFinding,
-    ProjectRule,
-    register_project,
-)
+from repro.checkers.flow.project import ProjectContext
 from repro.checkers.rules.determinism import SIMULATION_PACKAGES
 
 #: Packages whose code must treat the tracer as write-only.  The
@@ -44,18 +41,7 @@ def _in_trc_scope(module: str) -> bool:
     )
 
 
-def _mk(project: ProjectContext, rule: ProjectRule, func_key, line, col,
-        message: str) -> ProjectFinding:
-    return ProjectFinding(
-        finding=project.finding(
-            func_key, line, col, rule.rule_id, message, rule.hint
-        ),
-        module=func_key[0],
-        function=func_key[1],
-    )
-
-
-@register_project
+@register
 class EmissionFeedsValue(ProjectRule):
     rule_id = "TRC301"
     summary = "tracer emission results must not feed simulation values"
@@ -64,20 +50,20 @@ class EmissionFeedsValue(ProjectRule):
         "need the quantity, compute it first and pass it to the tracer"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         for site in project.tracer_calls:
             if not _in_trc_scope(site.func[0]):
                 continue
             if site.call.role != "value":
                 continue
-            yield _mk(
-                project, self, site.func, site.call.line, site.call.col,
+            yield self.finding(
+                project, site.func, site.call.line, site.call.col,
                 f".{site.method}() result flows into an expression; "
                 "emission must be observation-only",
             )
 
 
-@register_project
+@register
 class DrawUnderGuard(ProjectRule):
     rule_id = "TRC302"
     summary = "no stochastic draw inside a tracer-enabled block"
@@ -86,7 +72,7 @@ class DrawUnderGuard(ProjectRule):
         "consume identical stream state"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         for draw in project.draws:
             if not _in_trc_scope(draw.func[0]):
                 continue
@@ -94,15 +80,15 @@ class DrawUnderGuard(ProjectRule):
                 continue
             if draw.call.tguard not in project.tracer_guard_lines(draw.func):
                 continue
-            yield _mk(
-                project, self, draw.func, draw.call.line, draw.call.col,
+            yield self.finding(
+                project, draw.func, draw.call.line, draw.call.col,
                 f".{draw.method}() draw sits inside the tracer guard at "
                 f"line {draw.call.tguard}; tracing would shift every "
                 "subsequent draw",
             )
 
 
-@register_project
+@register
 class TracerStateRead(ProjectRule):
     rule_id = "TRC303"
     summary = "simulation code must not read tracer-side state"
@@ -111,7 +97,7 @@ class TracerStateRead(ProjectRule):
         "simulation decisions from simulation state instead"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         for func_key, func in project.iter_functions():
             if not _in_trc_scope(func_key[0]):
                 continue
@@ -125,8 +111,8 @@ class TracerStateRead(ProjectRule):
                     and callee[2] in _STATE_METHODS
                     and project.is_tracerish(callee[1], func_key)
                 ):
-                    yield _mk(
-                        project, self, func_key, call.line, call.col,
+                    yield self.finding(
+                        project, func_key, call.line, call.col,
                         f".{callee[2]}() reads the tracer's clock from "
                         "simulation code",
                     )
@@ -149,8 +135,8 @@ class TracerStateRead(ProjectRule):
                 if attr is None or (line, attr) in seen:
                     continue
                 seen.add((line, attr))
-                yield _mk(
-                    project, self, func_key, line, col,
+                yield self.finding(
+                    project, func_key, line, col,
                     f"tracer state .{attr} flows into simulation code",
                 )
 

@@ -1,16 +1,12 @@
-"""Per-module effect summaries: one AST pass, JSON-serialisable output.
+"""Per-module effect summaries: one walk over an already parsed module.
 
 A :class:`ModuleSummary` captures everything the project-wide rules need
 from one file — functions with their call sites, attribute writes,
 return values, tracer guards, and zero-probability guards — as
-descriptor trees (see :mod:`repro.checkers.flow.descriptors`).  Because
-the summary depends only on the file's own text, it caches by content
-hash: the whole-program link/fixpoint in
-:mod:`repro.checkers.flow.project` is then cheap enough to rerun from
-cached summaries on every tier-1 invocation.
-
-Bump :data:`SUMMARY_VERSION` whenever the extraction changes shape; the
-cache keys on it.
+descriptor trees (see :mod:`repro.checkers.flow.descriptors`).  The lint
+driver builds it with :func:`summarize_tree` from the same tree the
+module rules check, so no file is parsed twice; the whole-program link
+in :mod:`repro.checkers.flow.project` then runs over every summary.
 """
 
 from __future__ import annotations
@@ -24,17 +20,8 @@ from repro.checkers.flow.descriptors import (
     SELF,
     Desc,
     eval_expr,
-    from_json,
-    to_json,
     walk_shallow,
 )
-from repro.checkers.suppress import (
-    collect_file_suppressions,
-    collect_suppressions,
-)
-
-#: Cache format version; bump on any change to extraction or descriptors.
-SUMMARY_VERSION = 2
 
 #: Type descriptors derived from annotations:
 #: ``("cls", dotted) | ("optional", t) | ("dict", k, v) | ("list", t) |
@@ -58,31 +45,6 @@ class CallSite:
     #: Line of the innermost enclosing tracer-looking guard, if any.
     tguard: Optional[int] = None
 
-    def to_json(self) -> List[Any]:
-        return [
-            self.line,
-            self.col,
-            to_json(self.callee),
-            to_json(self.args),
-            to_json(self.kwargs),
-            self.order,
-            self.role,
-            self.tguard,
-        ]
-
-    @classmethod
-    def from_json(cls, data: List[Any]) -> "CallSite":
-        return cls(
-            line=data[0],
-            col=data[1],
-            callee=from_json(data[2]),
-            args=from_json(data[3]),
-            kwargs=from_json(data[4]),
-            order=data[5],
-            role=data[6],
-            tguard=data[7],
-        )
-
 
 @dataclasses.dataclass
 class AttrWrite:
@@ -95,27 +57,6 @@ class AttrWrite:
     kind: str  # "assign" | "aug" | "subscript" | "subscript-aug"
     value: Optional[Desc] = None  # only for kind == "assign"
 
-    def to_json(self) -> List[Any]:
-        return [
-            self.line,
-            self.col,
-            self.attr,
-            to_json(self.recv),
-            self.kind,
-            to_json(self.value) if self.value is not None else None,
-        ]
-
-    @classmethod
-    def from_json(cls, data: List[Any]) -> "AttrWrite":
-        return cls(
-            line=data[0],
-            col=data[1],
-            attr=data[2],
-            recv=from_json(data[3]),
-            kind=data[4],
-            value=from_json(data[5]) if data[5] is not None else None,
-        )
-
 
 @dataclasses.dataclass
 class GuardInfo:
@@ -125,19 +66,6 @@ class GuardInfo:
     test: Desc
     has_else: bool
     else_callees: Tuple[Desc, ...]
-
-    def to_json(self) -> List[Any]:
-        return [self.line, to_json(self.test), self.has_else,
-                to_json(self.else_callees)]
-
-    @classmethod
-    def from_json(cls, data: List[Any]) -> "GuardInfo":
-        return cls(
-            line=data[0],
-            test=from_json(data[1]),
-            has_else=data[2],
-            else_callees=from_json(data[3]),
-        )
 
 
 @dataclasses.dataclass
@@ -161,45 +89,6 @@ class FuncSummary:
         default_factory=list
     )
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "qual": self.qual,
-            "lineno": self.lineno,
-            "params": list(self.params),
-            "param_ann": {
-                k: to_json(v) for k, v in self.param_ann.items() if v
-            },
-            "return_ann": to_json(self.return_ann) if self.return_ann else None,
-            "kind": self.kind,
-            "cls": self.cls,
-            "decorators": list(self.decorators),
-            "calls": [c.to_json() for c in self.calls],
-            "attr_writes": [w.to_json() for w in self.attr_writes],
-            "returns": [[ln, to_json(d)] for ln, d in self.returns],
-            "guards": [g.to_json() for g in self.guards],
-            "prob_guards": [list(p) for p in self.prob_guards],
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "FuncSummary":
-        return cls(
-            qual=data["qual"],
-            lineno=data["lineno"],
-            params=tuple(data["params"]),
-            param_ann={k: from_json(v) for k, v in data["param_ann"].items()},
-            return_ann=(
-                from_json(data["return_ann"]) if data["return_ann"] else None
-            ),
-            kind=data["kind"],
-            cls=data["cls"],
-            decorators=tuple(data["decorators"]),
-            calls=[CallSite.from_json(c) for c in data["calls"]],
-            attr_writes=[AttrWrite.from_json(w) for w in data["attr_writes"]],
-            returns=[(ln, from_json(d)) for ln, d in data["returns"]],
-            guards=[GuardInfo.from_json(g) for g in data["guards"]],
-            prob_guards=[tuple(p) for p in data["prob_guards"]],
-        )
-
 
 @dataclasses.dataclass
 class ClassSummary:
@@ -212,33 +101,6 @@ class ClassSummary:
     attr_ann: Dict[str, TypeDesc]
     properties: Dict[str, TypeDesc]  # @property name -> return type
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "bases": to_json(self.bases),
-            "methods": self.methods,
-            "attr_ann": {k: to_json(v) for k, v in self.attr_ann.items() if v},
-            "properties": {
-                k: to_json(v) if v else None
-                for k, v in self.properties.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ClassSummary":
-        return cls(
-            name=data["name"],
-            lineno=data["lineno"],
-            bases=from_json(data["bases"]),
-            methods=dict(data["methods"]),
-            attr_ann={k: from_json(v) for k, v in data["attr_ann"].items()},
-            properties={
-                k: from_json(v) if v else None
-                for k, v in data["properties"].items()
-            },
-        )
-
 
 @dataclasses.dataclass
 class ModuleSummary:
@@ -250,59 +112,6 @@ class ModuleSummary:
     functions: Dict[str, FuncSummary]
     classes: Dict[str, ClassSummary]
     module_assigns: Dict[str, Desc]
-    #: line -> suppressed rule ids (["*"] for a bare noqa).
-    suppressions: Dict[int, List[str]]
-    #: rule ids (or "*") suppressed for the whole file via noqa-file.
-    file_suppressions: List[str]
-    parse_error: Optional[Tuple[int, int, str]] = None
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "version": SUMMARY_VERSION,
-            "module": self.module,
-            "path": self.path,
-            "imports": self.imports,
-            "functions": {
-                k: f.to_json() for k, f in self.functions.items()
-            },
-            "classes": {k: c.to_json() for k, c in self.classes.items()},
-            "module_assigns": {
-                k: to_json(d) for k, d in self.module_assigns.items()
-            },
-            "suppressions": {
-                str(k): v for k, v in self.suppressions.items()
-            },
-            "file_suppressions": self.file_suppressions,
-            "parse_error": (
-                list(self.parse_error) if self.parse_error else None
-            ),
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            imports=dict(data["imports"]),
-            functions={
-                k: FuncSummary.from_json(f)
-                for k, f in data["functions"].items()
-            },
-            classes={
-                k: ClassSummary.from_json(c)
-                for k, c in data["classes"].items()
-            },
-            module_assigns={
-                k: from_json(d) for k, d in data["module_assigns"].items()
-            },
-            suppressions={
-                int(k): list(v) for k, v in data["suppressions"].items()
-            },
-            file_suppressions=list(data["file_suppressions"]),
-            parse_error=(
-                tuple(data["parse_error"]) if data["parse_error"] else None
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -889,31 +698,13 @@ def _decorator_names(node: ast.AST) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def summarize_source(
-    source: str, path: str, module: Optional[str]
+def summarize_tree(
+    tree: ast.Module, path: str, module: Optional[str]
 ) -> ModuleSummary:
-    """Extract the flow summary of one source string."""
+    """Extract the flow summary of one parsed module."""
     module_name = module or ""
-    try:
-        tree = ast.parse(source, filename=path)
-    except (SyntaxError, ValueError) as exc:
-        line = getattr(exc, "lineno", None) or 1
-        col = getattr(exc, "offset", None) or 1
-        msg = getattr(exc, "msg", None) or str(exc)
-        return ModuleSummary(
-            module=module_name,
-            path=path,
-            imports={},
-            functions={},
-            classes={},
-            module_assigns={},
-            suppressions={},
-            file_suppressions=[],
-            parse_error=(line, col, msg),
-        )
     builder = _ModuleBuilder(module_name, path)
     builder.build(tree)
-    raw_suppressions = collect_suppressions(source)
     return ModuleSummary(
         module=module_name,
         path=path,
@@ -921,8 +712,4 @@ def summarize_source(
         functions=builder.functions,
         classes=builder.classes,
         module_assigns=builder.module_assigns,
-        suppressions={
-            line: sorted(rules) for line, rules in raw_suppressions.items()
-        },
-        file_suppressions=sorted(collect_file_suppressions(source)),
     )

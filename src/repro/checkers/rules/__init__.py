@@ -1,4 +1,4 @@
-"""The four repo-specific rule packs.
+"""The four per-module rule packs.
 
 Importing this package registers every rule with the global registry in
 :mod:`repro.checkers.base`:

@@ -19,7 +19,7 @@ line, conventionally near the top)::
     # repro: noqa-file
 
 The bare form suppresses every rule in the file; use it only for
-generated or vendored sources.
+generated or vendored sources.  One tokenize pass collects both forms.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, Tuple
 
 #: Matches ``repro: noqa`` and ``repro: noqa[RULE1,RULE2]`` inside a
 #: comment.  The negative lookahead keeps the line form from matching a
@@ -41,87 +41,57 @@ _NOQA_FILE_RE = re.compile(
     r"#\s*repro:\s*noqa-file(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?",
 )
 
-#: Sentinel rule-set meaning "suppress everything on this line".
+#: Sentinel rule-set meaning "suppress everything" (bare ``noqa``).
 ALL_RULES: FrozenSet[str] = frozenset({"*"})
 
-
-def collect_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
-    """Map line number -> suppressed rule ids (``ALL_RULES`` for bare noqa)."""
-    suppressions: Dict[int, FrozenSet[str]] = {}
-    reader = io.StringIO(source).readline
-    try:
-        tokens = tokenize.generate_tokens(reader)
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            match = _NOQA_RE.search(tok.string)
-            if match is None:
-                continue
-            rules = match.group("rules")
-            if rules is None:
-                wanted = ALL_RULES
-            else:
-                wanted = frozenset(
-                    r.strip().upper() for r in rules.split(",") if r.strip()
-                )
-                if not wanted:
-                    wanted = ALL_RULES
-            line = tok.start[0]
-            existing = suppressions.get(line)
-            if existing is None:
-                suppressions[line] = wanted
-            elif ALL_RULES <= existing or ALL_RULES <= wanted:
-                suppressions[line] = ALL_RULES
-            else:
-                suppressions[line] = existing | wanted
-    except tokenize.TokenError:
-        # Unterminated strings etc.: the AST parse will report the real
-        # problem; treat the file as having no suppressions.
-        pass
-    return suppressions
+#: ``(line -> suppressed rule ids, rule ids suppressed file-wide)``.
+Suppressions = Tuple[Dict[int, FrozenSet[str]], FrozenSet[str]]
 
 
-def is_suppressed(
-    suppressions: Dict[int, FrozenSet[str]], line: int, rule_id: str
-) -> bool:
-    """Whether ``rule_id`` is suppressed on ``line``."""
-    wanted = suppressions.get(line)
-    if wanted is None:
-        return False
-    return wanted is ALL_RULES or "*" in wanted or rule_id.upper() in wanted
+def _rule_set(rules: str) -> FrozenSet[str]:
+    return frozenset(r.strip().upper() for r in rules.split(",") if r.strip())
 
 
-def collect_file_suppressions(source: str) -> FrozenSet[str]:
-    """Rule ids the whole file suppresses via ``# repro: noqa-file``.
+def collect_suppressions(source: str) -> Suppressions:
+    """Both ``noqa`` forms of ``source``, from one tokenize pass.
 
-    Returns :data:`ALL_RULES` for the bare form; otherwise the union of
-    every bracketed list in the file (an empty set when the marker is
-    absent).
+    The line map sends a line number to its suppressed rule ids
+    (:data:`ALL_RULES` for a bare ``noqa``); the file set is the union of
+    every ``noqa-file`` list (:data:`ALL_RULES` for the bare form, empty
+    when the marker is absent).
     """
-    suppressed: set = set()
+    lines: Dict[int, FrozenSet[str]] = {}
+    whole_file: FrozenSet[str] = frozenset()
     reader = io.StringIO(source).readline
     try:
         for tok in tokenize.generate_tokens(reader):
             if tok.type != tokenize.COMMENT:
                 continue
             match = _NOQA_FILE_RE.search(tok.string)
-            if match is None:
-                continue
-            rules = match.group("rules")
-            if rules is None:
-                return ALL_RULES
-            suppressed.update(
-                r.strip().upper() for r in rules.split(",") if r.strip()
-            )
+            if match is not None:
+                rules = match.group("rules")
+                whole_file |= ALL_RULES if rules is None else _rule_set(rules)
+            match = _NOQA_RE.search(tok.string)
+            if match is not None:
+                rules = match.group("rules")
+                wanted = ALL_RULES if rules is None else _rule_set(rules)
+                line = tok.start[0]
+                lines[line] = lines.get(line, frozenset()) | (
+                    wanted or ALL_RULES
+                )
     except tokenize.TokenError:
+        # Unterminated strings etc.: the AST parse reports the real
+        # problem; keep whatever was collected before the error.
         pass
-    return frozenset(suppressed)
+    return lines, whole_file
 
 
-def is_file_suppressed(file_rules: FrozenSet[str], rule_id: str) -> bool:
-    """Whether ``rule_id`` is suppressed by a file-level noqa set."""
-    return (
-        file_rules is ALL_RULES
-        or "*" in file_rules
-        or rule_id.upper() in file_rules
-    )
+def is_suppressed(
+    suppressions: Suppressions, line: int, rule_id: str
+) -> bool:
+    """Whether ``rule_id`` is suppressed on ``line`` or file-wide."""
+    lines, whole_file = suppressions
+    for rules in (whole_file, lines.get(line, frozenset())):
+        if "*" in rules or rule_id.upper() in rules:
+            return True
+    return False

@@ -6,14 +6,18 @@ cover ``# repro: noqa[RULE]`` suppression, package scoping, rule
 selection, and the CLI contract.
 """
 
+import ast
 import json
 import textwrap
+import tokenize
 
 import pytest
 
 from repro.checkers import (
     Finding,
+    ProjectRule,
     all_rules,
+    check_paths,
     check_source,
     module_name_for,
     rules_by_id,
@@ -37,10 +41,23 @@ def dedent(source):
 # ---------------------------------------------------------------------------
 
 
+def pack_of(rule_id):
+    return rule_id.rstrip("0123456789")
+
+
 class TestFramework:
     def test_all_four_packs_registered(self):
-        packs = {cls.rule_id[: cls.rule_id.index("1")] for cls in all_rules()}
+        packs = {
+            pack_of(cls.rule_id)
+            for cls in all_rules()
+            if not issubclass(cls, ProjectRule)
+        }
         assert packs == {"DET", "UNIT", "SM", "API"}
+
+    def test_all_seven_packs_registered(self):
+        packs = {pack_of(cls.rule_id) for cls in all_rules()}
+        assert packs == {"DET", "UNIT", "SM", "API", "FLOW", "ENC", "TRC"}
+        assert len(all_rules()) == 22
 
     def test_rules_by_pack_prefix(self):
         det = rules_by_id(["DET"])
@@ -468,12 +485,114 @@ class TestCli:
         assert main(["--rules", "BOGUS", path]) == 2
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
-        # A typo'd path must not report a clean "0 findings" pass.
-        assert main([str(tmp_path / "no_such_dir")]) == 2
-        assert "no such file" in capsys.readouterr().err
+        # A typo'd path, or paths holding no Python file, must not report
+        # a clean "0 findings" pass.
+        readme = tmp_path / "README.md"
+        readme.write_text("# not python\n")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for path, message in (
+            (tmp_path / "no_such_dir", "no such file"),
+            (readme, "no .py file"),
+            (empty, "no .py file"),
+        ):
+            assert main([str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+            assert len(captured.err.splitlines()) == 1
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rid in ("DET101", "UNIT101", "SM101", "API101"):
             assert rid in out
+
+
+# ---------------------------------------------------------------------------
+# the one pass: module and project rules together
+# ---------------------------------------------------------------------------
+
+
+def write_tree(root, files):
+    """Write ``{relative path: source}`` under ``root/repro``."""
+    package = root / "repro"
+    for rel, source in files.items():
+        target = package / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(dedent(source), encoding="utf-8")
+    return str(package)
+
+
+#: A module-level global-stream call (DET101, line 3) next to a draw no
+#: RNG stream reaches (FLOW101, line 7).
+MIXED = """
+import random
+
+x = random.random()
+
+
+def rogue(rng):
+    return rng.random()
+"""
+
+
+class TestOnePass:
+    def test_each_file_parsed_and_tokenized_once(self, tmp_path, monkeypatch):
+        root = write_tree(
+            tmp_path,
+            {
+                "core/a.py": "def a(rng):\n    return rng.random()\n",
+                "core/b.py": "from repro.core.a import a\n\nB = 1\n",
+                "farm/c.py": "def c(x_s, y_s):\n    return x_s + y_s\n",
+            },
+        )
+        calls = {"parse": 0, "tokenize": 0}
+        real_parse = ast.parse
+        real_tokens = tokenize.generate_tokens
+
+        def counting_parse(*args, **kwargs):
+            calls["parse"] += 1
+            return real_parse(*args, **kwargs)
+
+        def counting_tokens(*args, **kwargs):
+            calls["tokenize"] += 1
+            return real_tokens(*args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(tokenize, "generate_tokens", counting_tokens)
+        result = check_paths([root])
+        assert calls == {"parse": 3, "tokenize": 3}
+        findings, project = result
+        assert [f.rule_id for f in findings] == ["FLOW101"]
+        assert set(project.modules) == {
+            "repro.core.a", "repro.core.b", "repro.farm.c"
+        }
+
+    def test_rules_mix_ids_from_both_kinds(self, tmp_path, capsys):
+        root = write_tree(tmp_path, {"core/mixed.py": MIXED})
+        assert main(["--rules", "DET101,FLOW101", root]) == 1
+        out = capsys.readouterr().out
+        assert ":3:" in out and "DET101" in out
+        assert ":7:" in out and "FLOW101" in out
+        assert out.splitlines()[-1] == "2 findings"
+
+    def test_json_and_sarif_report_both_kinds(self, tmp_path, capsys):
+        root = write_tree(tmp_path, {"core/mixed.py": MIXED})
+        assert main(["--format", "json", root]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [(f["rule"], f["line"]) for f in report["findings"]] == [
+            ("DET101", 3),
+            ("FLOW101", 7),
+        ]
+        assert main(["--format", "sarif", root]) == 1
+        [run] = json.loads(capsys.readouterr().out)["runs"]
+        assert [
+            (r["ruleId"], r["locations"][0]["physicalLocation"]["region"][
+                "startLine"
+            ])
+            for r in run["results"]
+        ] == [("DET101", 3), ("FLOW101", 7)]
+        sarif_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
+        assert sarif_ids == sorted(cls.rule_id for cls in all_rules())
+        assert len(sarif_ids) == 22

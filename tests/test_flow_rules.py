@@ -6,24 +6,19 @@ Three layers of assurance:
   ``file:line`` (the seeded-fault battery from the acceptance criteria);
 - a mutation battery that appends a rogue index write to each *real*
   indexed module and asserts ENC201 catches it;
-- end-to-end ``check_project`` runs covering suppressions, baselines,
-  parse errors, and the cache.
+- end-to-end ``check_paths`` runs covering suppressions and parse
+  errors.
 """
 
+import ast
 import json
 import textwrap
 
-import pytest
-
+from repro.checkers import ProjectRule, all_rules, check_paths, rules_by_id
 from repro.checkers.driver import read_source
-from repro.checkers.flow.baseline import load_baseline
 from repro.checkers.flow.project import ProjectContext
-from repro.checkers.flow.runner import check_project
 from repro.checkers.flow.rules_enc import INDEX_SPECS
-from repro.checkers.flow.summary import summarize_source
-
-# Importing the runner registered every project rule.
-from repro.checkers.flow.project import all_project_rules
+from repro.checkers.flow.summary import summarize_tree
 
 
 def build_ctx(modules):
@@ -31,26 +26,23 @@ def build_ctx(modules):
     summaries = []
     for module, source in modules.items():
         path = "src/" + module.replace(".", "/") + ".py"
-        summaries.append(
-            summarize_source(textwrap.dedent(source), path, module)
-        )
+        tree = ast.parse(textwrap.dedent(source))
+        summaries.append(summarize_tree(tree, path, module))
     return ProjectContext(summaries)
 
 
 def run_rules(ctx, prefix=""):
     found = []
-    for rule_cls in all_project_rules():
-        if not rule_cls.rule_id.startswith(prefix):
+    for rule_cls in all_rules():
+        if not issubclass(rule_cls, ProjectRule):
             continue
-        found.extend(rule_cls().check(ctx))
+        if rule_cls.rule_id.startswith(prefix):
+            found.extend(rule_cls().check(ctx))
     return found
 
 
 def rendered(findings):
-    return [
-        (pf.finding.rule_id, pf.finding.path, pf.finding.line)
-        for pf in findings
-    ]
+    return [(f.rule_id, f.path, f.line) for f in findings]
 
 
 TRACER_MODULE = """
@@ -168,7 +160,9 @@ class TestEncPack:
                     f"\n\ndef _rogue(x: {cls_name}) -> None:\n"
                     f"    x.{attr} = None\n"
                 )
-                summary = summarize_source(source + rogue, path, module)
+                summary = summarize_tree(
+                    ast.parse(source + rogue), path, module
+                )
                 ctx = ProjectContext([summary])
                 found = rendered(run_rules(ctx, "ENC201"))
                 expected_line = base_lines + 4
@@ -304,17 +298,23 @@ class TestTrcPack:
         ]
 
     def test_trc_exempt_inside_obs(self):
-        ctx = build_ctx(
-            {
-                "repro.obs.exporter": TRACER_MODULE
-                + """
+        exporter = """
+        from repro.obs.tracer import Tracer
 
-                def export(tracer: Tracer):
-                    return tracer.now_s()
-                """
-            }
+        def export(tracer: Tracer):
+            return tracer.now_s()
+        """
+        inside = build_ctx(
+            {"repro.obs.tracer": TRACER_MODULE, "repro.obs.exporter": exporter}
         )
-        assert run_rules(ctx, "TRC") == []
+        assert run_rules(inside, "TRC") == []
+        # The same read from simulation code is flagged.
+        outside = build_ctx(
+            {"repro.obs.tracer": TRACER_MODULE, "repro.core.exporter": exporter}
+        )
+        assert rendered(run_rules(outside, "TRC")) == [
+            ("TRC303", "src/repro/core/exporter.py", 5)
+        ]
 
 
 class TestProjectRunner:
@@ -326,7 +326,7 @@ class TestProjectRunner:
             target.write_text(textwrap.dedent(source), encoding="utf-8")
         return str(root)
 
-    def test_end_to_end_with_cache(self, tmp_path):
+    def test_end_to_end_reports_flow101(self, tmp_path):
         root = self._write_tree(
             tmp_path,
             {
@@ -338,14 +338,8 @@ class TestProjectRunner:
                 """
             },
         )
-        cache = str(tmp_path / "cache.json")
-        cold = check_project([root], baseline_path=None, cache_path=cache)
-        assert [f.rule_id for f in cold.findings] == ["FLOW101"]
-        assert cold.cache_misses >= 1 and cold.cache_hits == 0
-
-        warm = check_project([root], baseline_path=None, cache_path=cache)
-        assert [f.rule_id for f in warm.findings] == ["FLOW101"]
-        assert warm.cache_misses == 0 and warm.cache_hits >= 1
+        findings, _ = check_paths([root], rules=rules_by_id(["FLOW"]))
+        assert [f.rule_id for f in findings] == ["FLOW101"]
 
     def test_line_and_file_suppressions(self, tmp_path):
         root = self._write_tree(
@@ -366,92 +360,21 @@ class TestProjectRunner:
                 """,
             },
         )
-        result = check_project([root], baseline_path=None, cache_path=None)
-        assert result.findings == []
+        findings, _ = check_paths([root], rules=rules_by_id(["FLOW"]))
+        assert findings == []
 
     def test_syntax_error_reported_as_parse_finding(self, tmp_path):
         root = self._write_tree(
             tmp_path, {"core/broken.py": "def broken(:\n    pass\n"}
         )
-        result = check_project([root], baseline_path=None, cache_path=None)
-        assert [f.rule_id for f in result.findings] == ["PARSE"]
-        assert result.findings[0].line == 1
-
-    def test_baseline_filters_and_reports_stale(self, tmp_path):
-        root = self._write_tree(
-            tmp_path,
-            {
-                "core/evil.py": """
-                import random
-
-                def rogue():
-                    return random.Random().random()
-                """
-            },
-        )
-        evil_path = root + "/core/evil.py"
-        baseline = tmp_path / "flow-baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "entries": [
-                        {
-                            "rule": "FLOW101",
-                            "path": evil_path,
-                            "function": "repro.core.evil.rogue",
-                            "reason": "fixture: accepted for the test",
-                        },
-                        {
-                            "rule": "FLOW101",
-                            "path": evil_path,
-                            "function": "repro.core.evil.gone",
-                            "reason": "fixture: this one is stale",
-                        },
-                    ]
-                }
-            ),
-            encoding="utf-8",
-        )
-        result = check_project(
-            [root], baseline_path=str(baseline), cache_path=None
-        )
-        assert [f.rule_id for f in result.findings] == ["BASELINE"]
-        assert "stale" in result.findings[0].message
-
-    def test_malformed_baseline_is_a_finding(self, tmp_path):
-        root = self._write_tree(tmp_path, {"core/ok.py": "x = 1\n"})
-        baseline = tmp_path / "flow-baseline.json"
-        baseline.write_text(
-            json.dumps({"entries": [{"rule": "FLOW101"}]}), encoding="utf-8"
-        )
-        result = check_project(
-            [root], baseline_path=str(baseline), cache_path=None
-        )
-        assert [f.rule_id for f in result.findings] == ["BASELINE"]
-        assert "malformed" in result.findings[0].message
-
-    def test_baseline_reason_must_be_nonempty(self, tmp_path):
-        baseline = tmp_path / "flow-baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "entries": [
-                        {
-                            "rule": "FLOW101",
-                            "path": "x.py",
-                            "function": "m.f",
-                            "reason": "   ",
-                        }
-                    ]
-                }
-            ),
-            encoding="utf-8",
-        )
-        with pytest.raises(ValueError, match="empty reason"):
-            load_baseline(str(baseline))
+        findings, _ = check_paths([root])
+        assert [f.rule_id for f in findings] == ["PARSE"]
+        assert findings[0].line == 1
 
 
 class TestCliProjectMode:
+    """The CLI reports project-rule findings from the default pass."""
+
     def test_sarif_output_shape(self, tmp_path, capsys):
         from repro.checkers.cli import main
 
@@ -462,15 +385,7 @@ class TestCliProjectMode:
             "    return random.Random().random()\n",
             encoding="utf-8",
         )
-        code = main(
-            [
-                str(tmp_path / "src" / "repro"),
-                "--project",
-                "--format",
-                "sarif",
-                "--no-cache",
-            ]
-        )
+        code = main([str(tmp_path / "src" / "repro"), "--format", "sarif"])
         assert code == 1
         log = json.loads(capsys.readouterr().out)
         assert log["version"] == "2.1.0"
@@ -482,8 +397,3 @@ class TestCliProjectMode:
         assert region["startLine"] == 4
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
         assert {"FLOW101", "ENC201", "TRC301"} <= rule_ids
-
-    def test_sarif_requires_project(self, capsys):
-        from repro.checkers.cli import main
-
-        assert main(["src/repro", "--format", "sarif"]) == 2

@@ -2,20 +2,21 @@
 
 Exercises the parts of :mod:`repro.checkers.flow` that the rule-level
 tests take for granted: decorated functions, lambdas, self-dispatch
-across inheritance, call cycles reaching fixpoint, JSON round-trips,
-and the content-hash summary cache.
+across inheritance, call cycles reaching fixpoint, and a file that does
+not parse.
 """
 
+import ast
 import textwrap
 
-from repro.checkers.flow.cache import SummaryCache
+from repro.checkers import check_paths
 from repro.checkers.flow.project import ProjectContext
-from repro.checkers.flow.summary import ModuleSummary, summarize_source
+from repro.checkers.flow.summary import ModuleSummary, summarize_tree
 
 
 def summarize(source: str, module: str = "repro.farm.demo") -> ModuleSummary:
     path = "src/" + module.replace(".", "/") + ".py"
-    return summarize_source(textwrap.dedent(source), path, module)
+    return summarize_tree(ast.parse(textwrap.dedent(source)), path, module)
 
 
 def link(*summaries: ModuleSummary) -> ProjectContext:
@@ -101,32 +102,19 @@ class TestExtraction:
         assert summary.functions["Box.build"].kind == "classmethod"
         assert summary.classes["Box"].methods["normal"] == "Box.normal"
 
-    def test_parse_error_recorded_not_raised(self):
-        summary = summarize("def broken(:\n    pass\n")
-        assert summary.parse_error is not None
-        assert summary.parse_error[0] == 1
-        assert summary.functions == {}
-
-    def test_json_roundtrip_is_exact(self):
-        summary = summarize(
-            """
-            import random
-
-            class Sampler:
-                def __init__(self, rng: random.Random) -> None:
-                    self._rng = rng
-
-                def draw(self) -> float:
-                    return self._rng.random()
-            """
-        )
-        recovered = ModuleSummary.from_json(summary.to_json())
-        assert recovered.to_json() == summary.to_json()
-        assert recovered.functions["Sampler.draw"].calls[0].callee == (
-            "getattr",
-            ("selfattr", "_rng"),
-            "random",
-        )
+    def test_parse_error_recorded_not_raised(self, tmp_path):
+        # The driver is the only code that parses: a file that does not
+        # parse is one PARSE finding and stays out of the link, while the
+        # rest of the tree is still summarised and linked.
+        package = tmp_path / "repro" / "farm"
+        package.mkdir(parents=True)
+        (package / "broken.py").write_text("def broken(:\n    pass\n")
+        (package / "fine.py").write_text("def fine():\n    return 1\n")
+        findings, ctx = check_paths([str(tmp_path)])
+        assert [(f.rule_id, f.line) for f in findings] == [("PARSE", 1)]
+        assert findings[0].path.endswith("broken.py")
+        assert ("repro.farm.fine", "fine") in ctx.functions
+        assert "repro.farm.broken" not in ctx.modules
 
 
 class TestLinking:
@@ -246,46 +234,3 @@ class TestLinking:
         ]
         assert draw.tokens == frozenset({"stream:traffic"})
 
-
-class TestSummaryCache:
-    def test_hit_miss_and_invalidation(self, tmp_path):
-        cache_file = tmp_path / "cache.json"
-        src_a = "def f():\n    return 1\n"
-        src_b = "def f():\n    return 2\n"
-
-        cache = SummaryCache(str(cache_file))
-        cache.summarize(src_a, "a.py", "repro.a")
-        assert (cache.hits, cache.misses) == (0, 1)
-        cache.save()
-
-        warm = SummaryCache(str(cache_file))
-        warm.summarize(src_a, "a.py", "repro.a")
-        assert (warm.hits, warm.misses) == (1, 0)
-        # Changed content misses and replaces the entry.
-        warm.summarize(src_b, "a.py", "repro.a")
-        assert warm.misses == 1
-        warm.save()
-
-        final = SummaryCache(str(cache_file))
-        summary = final.summarize(src_b, "a.py", "repro.a")
-        assert final.hits == 1
-        assert summary.functions["f"].returns[0][1] == ("const", 2)
-
-    def test_version_bump_invalidates(self, tmp_path, monkeypatch):
-        cache_file = tmp_path / "cache.json"
-        cache = SummaryCache(str(cache_file))
-        cache.summarize("x = 1\n", "a.py", "repro.a")
-        cache.save()
-
-        import repro.checkers.flow.cache as cache_mod
-
-        monkeypatch.setattr(cache_mod, "SUMMARY_VERSION", 9999)
-        stale = SummaryCache(str(cache_file))
-        assert stale.entries == {}
-
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
-        cache_file = tmp_path / "cache.json"
-        cache_file.write_text("{not json", encoding="utf-8")
-        cache = SummaryCache(str(cache_file))
-        cache.summarize("x = 1\n", "a.py", "repro.a")
-        assert cache.misses == 1
