@@ -27,13 +27,14 @@ the parallel sweep runner.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from typing import List, Optional
 
 from repro.analysis import Cdf, format_percent, format_table
 from repro.core import ALL_POLICIES, strategy_by_name, strategy_names
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceFormatError
 from repro.farm import FarmConfig, SweepRunner, simulate_day
 from repro.faults import FAULT_PROFILE_NAMES, fault_profile_by_name
 from repro.traces import (
@@ -44,6 +45,12 @@ from repro.traces import (
     write_traces_csv,
 )
 from repro.traces.sampler import TraceEnsemble
+
+
+def _input_error(path: str, error: Exception) -> ConfigError:
+    """A one-line usage error naming an input file the command cannot use."""
+    detail = getattr(error, "strerror", None) or error
+    return ConfigError(f"cannot read {path}: {detail}")
 
 
 def _day_type(value: str) -> DayType:
@@ -181,6 +188,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print("--trace records a single day: drop --week and --runs",
                   file=sys.stderr)
             return 2
+        # Fail before the day runs, not after it, on a path the trace
+        # cannot be written to.
+        directory = os.path.dirname(args.trace) or "."
+        if os.path.isdir(args.trace) or not os.path.isdir(directory):
+            raise ConfigError(
+                f"cannot write trace {args.trace}: not a file path in an "
+                "existing directory"
+            )
         from repro.obs import RecordingTracer
 
         tracer = RecordingTracer()
@@ -493,7 +508,12 @@ def _cmd_traces(args: argparse.Namespace) -> int:
             read_traces_json if args.file.endswith(".json")
             else read_traces_csv
         )
-        traces = reader(args.file)
+        try:
+            traces = reader(args.file)
+        except (OSError, UnicodeDecodeError) as error:
+            raise _input_error(args.file, error) from error
+        if not traces:
+            raise TraceFormatError(f"{args.file}: no traces found")
         ensemble = TraceEnsemble(traces[0].day_type, tuple(traces))
         print(compute_ensemble_stats(ensemble))
     return 0
@@ -559,8 +579,12 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         )
         return 0
     # compare: certify the current engine against a committed baseline.
+    try:
+        payload = read_baseline(args.baseline)
+    except (OSError, ValueError) as error:
+        raise _input_error(args.baseline, error) from error
     report = compare_to_baseline(
-        read_baseline(args.baseline),
+        payload,
         config,
         args.policy,
         battery_config=battery,
@@ -578,7 +602,6 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import TraceFormatError
     from repro.obs import read_jsonl, timeline_summary, validate_chrome_trace
 
     try:
@@ -853,7 +876,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(stop.code or 0)
     try:
         return args.handler(args)
-    except ConfigError as error:
+    except (ConfigError, TraceFormatError) as error:
         print(str(error), file=sys.stderr)
         return 2
 

@@ -232,6 +232,26 @@ class TestUsageErrors:
         assert "Traceback" not in completed.stderr
         assert len(completed.stderr.splitlines()) == 1, completed.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["traces", "stats", "--file", "{tmp}/missing.csv"],
+        ["traces", "stats", "--file", "{tmp}/no_traces.json"],
+        ["equiv", "compare", "--baseline", "{tmp}/missing.json"],
+        ["equiv", "compare", "--baseline", "{tmp}/not_json.json"],
+        ["simulate", "--home-hosts", "2", "--consolidation-hosts", "1",
+         "--vms-per-host", "2", "--trace", "{tmp}/no/such/dir/day.jsonl"],
+    ])
+    def test_bad_file_exits_2_with_one_stderr_line(self, tmp_path, argv):
+        (tmp_path / "no_traces.json").write_text('{"users": []}\n')
+        (tmp_path / "not_json.json").write_text("not json\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        completed = _run_cli(argv)
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert len(completed.stderr.splitlines()) == 1, completed.stderr
+        assert argv[-1] in completed.stderr
+        # Nothing ran first: a bad --trace path fails before the day.
+        assert completed.stdout == ""
+
     @pytest.mark.parametrize("argv,option", [
         (["simulate", "--runs", "0"], "--runs"),
         (["simulate", "--runs", "-3"], "--runs"),
