@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable
 
 from repro.errors import ConfigError
-from repro.units import KIB_PER_MIB, PAGE_SIZE_KIB
+from repro.units import PAGE_SIZE_KIB
 
 PAGE_BYTES = int(PAGE_SIZE_KIB * 1024)
 
@@ -139,8 +139,3 @@ class PageClassMix:
 #: blend gives the ~0.51 compressed/raw ratio that reproduces the
 #: prototype's 10.2 s initial memory upload (Figure 5).
 DESKTOP_USED_MIX = PageClassMix(zero=0.0, text=0.55, code=0.33, random=0.12)
-
-
-def mix_pages_to_mib(pages: int) -> float:
-    """Size in MiB of ``pages`` whole pages."""
-    return pages * PAGE_SIZE_KIB / KIB_PER_MIB

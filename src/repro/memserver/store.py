@@ -59,11 +59,6 @@ class PageStore:
     def image_page_count(self, vm_id: int) -> int:
         return len(self._image(vm_id))
 
-    def image_compressed_mib(self, vm_id: int) -> float:
-        image = self._image(vm_id)
-        total_bytes = sum(len(blob) for blob in image.values())
-        return total_bytes / (KIB_PER_MIB * 1024.0)
-
     def vm_ids(self) -> Set[int]:
         return set(self._images)
 

@@ -43,15 +43,6 @@ class HostBusyScheduler:
             self._busy_until.get(host_id, 0.0),
         )
 
-    def earliest_start(self, host_ids: Iterable[Hashable], now: float) -> float:
-        """Earliest time an operation involving ``host_ids`` can start."""
-        start = now
-        for host_id in host_ids:
-            horizon = self._busy_until.get(host_id, 0.0)
-            if horizon > start:
-                start = horizon
-        return start
-
     def reserve(
         self,
         host_ids: Iterable[Hashable],

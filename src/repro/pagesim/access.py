@@ -58,11 +58,6 @@ class VmProfile:
         core = self.core_mib * (1.0 - math.exp(-t_s / self.core_tau_s))
         return core + self.discovery_mib_per_s * t_s
 
-    @property
-    def mean_request_gap_s(self) -> float:
-        """Mean inter-arrival time between individual page requests."""
-        return self.burst_gap_s / self.burst_pages_mean
-
 
 #: Desktop VM (GNOME + office apps + browser): many background services
 #: keep a sizeable core warm; 1 h of idling touches ~188.2 MiB.

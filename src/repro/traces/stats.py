@@ -39,11 +39,6 @@ class EnsembleStats:
         )
 
 
-def concurrency_series(ensemble: TraceEnsemble) -> List[int]:
-    """Alias for :meth:`TraceEnsemble.concurrent_active` (series form)."""
-    return ensemble.concurrent_active()
-
-
 def all_idle_fraction(groups) -> float:
     """Fraction of intervals during which *every* user of a group is idle,
     averaged over the supplied groups.
