@@ -9,11 +9,12 @@ their memory servers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 from repro.cluster.host import Host, HostRole
 from repro.cluster.power import PowerState
 from repro.errors import ConfigError
+from repro.vm.machine import VirtualMachine
 from repro.vm.state import Residency
 
 
@@ -169,6 +170,53 @@ class Cluster:
                 f"host {host.host_id}: partial fraction drifted "
                 f"({host.partial_resident_fraction:.9f} vs {fraction:.9f})"
             )
+
+    # -- placement ---------------------------------------------------------
+
+    def move(
+        self,
+        vm: VirtualMachine,
+        source: Host,
+        destination: Host,
+        working_set_mib: Optional[float] = None,
+    ) -> None:
+        """Commit where one migration leaves ``vm``, which runs on ``source``.
+
+        A working set lands the VM partial on ``destination``; ``None``
+        lands it full.  The six residency transitions:
+
+        * full -> full: a live migration; the destination becomes home;
+        * full -> partial: the source (its home) serves the image;
+        * partial -> partial: a relocation with the same working set;
+        * partial -> home: reintegration; the home stops serving;
+        * partial -> elsewhere: re-homing; the old home stops serving;
+        * partial -> in place (``destination is source``): conversion;
+          the old home stops serving.
+        """
+        vm_id = vm.vm_id
+        if vm.residency is Residency.FULL:
+            source.detach(vm_id)
+            if working_set_mib is None:
+                vm.full_migrate(destination.host_id)
+            else:
+                vm.become_partial(destination.host_id, working_set_mib)
+                source.add_served_image(vm_id)
+            destination.attach(vm)
+            return
+        if working_set_mib is not None:
+            source.detach(vm_id)
+            vm.relocate_partial(destination.host_id)
+            destination.attach(vm)
+            return
+        old_home = self._hosts[vm.home_id]
+        if destination is source:
+            source.convert_vm_full_in_place(vm_id)
+        else:
+            # Onto its own home this is a reintegration: the home stays.
+            source.detach(vm_id)
+            vm.become_full_at(destination.host_id)
+            destination.attach(vm)
+        old_home.remove_served_image(vm_id)
 
     def __repr__(self) -> str:
         return (

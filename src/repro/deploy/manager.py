@@ -50,7 +50,7 @@ from repro.deploy.vmconfig import VmConfigFile
 from repro.errors import ConfigError
 from repro.simulator.engine import Simulator
 from repro.vm.machine import VirtualMachine
-from repro.vm.state import Residency, VmActivity
+from repro.vm.state import VmActivity
 from repro.vm.workingset import WorkingSetSampler
 
 MANAGER_NAME = "manager"
@@ -202,9 +202,7 @@ class ClusterManagerDaemon:
             return
         if decision.action is ActivationAction.CONVERT_IN_PLACE:
             host = self.inventory.cluster.host(vm.host_id)
-            old_home = self.inventory.cluster.host(vm.home_id)
-            host.convert_vm_full_in_place(vm.vm_id)
-            old_home.remove_served_image(vm.vm_id)
+            self.inventory.cluster.move(vm, host, host)
             self.endpoint.send(
                 agent_name(host.host_id), ConvertInPlaceOrder(vm.vm_id)
             )
@@ -234,13 +232,10 @@ class ClusterManagerDaemon:
         )
 
     def _execute_vacation(self, vacation) -> None:
+        cluster = self.inventory.cluster
         for migration in vacation.migrations:
             vm = self.inventory.vm(migration.vm_id)
             self._wake_if_sleeping(migration.destination_id)
-            source_host = self.inventory.cluster.host(migration.source_id)
-            destination = self.inventory.cluster.host(
-                migration.destination_id
-            )
             order = MigrationOrder(
                 vmid=vm.vm_id,
                 migration_type=(
@@ -253,15 +248,12 @@ class ClusterManagerDaemon:
             )
             # Update the shadow optimistically; agent Nacks would be the
             # place to reconcile (not modeled: agents here are reliable).
-            source_host.detach(vm.vm_id)
-            if migration.mode is MigrationMode.PARTIAL:
-                vm.become_partial(
-                    migration.destination_id, migration.working_set_mib
-                )
-                source_host.add_served_image(vm.vm_id)
-            else:
-                vm.full_migrate(migration.destination_id)
-            destination.attach(vm)
+            cluster.move(
+                vm,
+                cluster.host(migration.source_id),
+                cluster.host(migration.destination_id),
+                migration.working_set_mib,
+            )
             self.endpoint.send(agent_name(migration.source_id), order)
             self.orders_sent += 1
             self._expect_ack(
@@ -276,24 +268,16 @@ class ClusterManagerDaemon:
         pushes the VM home in full; the home agent immediately sends it
         back as a partial replica and the home re-sleeps once the
         manager sees the final arrival ack."""
+        cluster = self.inventory.cluster
         vm = self.inventory.vm(exchange.vm_id)
-        home = self.inventory.cluster.host(exchange.origin_home_id)
-        consolidation = self.inventory.cluster.host(
-            exchange.consolidation_host_id
-        )
+        home = cluster.host(exchange.origin_home_id)
+        consolidation = cluster.host(exchange.consolidation_host_id)
         if not home.can_fit(vm.memory_mib):
             return
         self._wake_if_sleeping(exchange.origin_home_id)
-        # Shadow: commit the exchange's end state.
-        consolidation.detach(vm.vm_id)
-        vm.full_migrate(exchange.origin_home_id)
-        home.attach(vm)
-        home.detach(vm.vm_id)
-        vm.become_partial(
-            exchange.consolidation_host_id, exchange.working_set_mib
-        )
-        home.add_served_image(vm.vm_id)
-        consolidation.attach(vm)
+        # Shadow: commit both legs.
+        cluster.move(vm, consolidation, home)
+        cluster.move(vm, home, consolidation, exchange.working_set_mib)
         self.endpoint.send(
             agent_name(exchange.consolidation_host_id),
             ExchangeOrder(
@@ -310,20 +294,12 @@ class ClusterManagerDaemon:
         self._mark_for_suspend(exchange.origin_home_id, 1)
 
     def _order_full_migration(self, vm: VirtualMachine, destination_id: int):
-        source_id = vm.host_id
-        source = self.inventory.cluster.host(source_id)
-        destination = self.inventory.cluster.host(destination_id)
+        cluster = self.inventory.cluster
+        source = cluster.host(vm.host_id)
         self._wake_if_sleeping(destination_id)
-        source.detach(vm.vm_id)
-        if vm.residency is Residency.PARTIAL:
-            old_home = self.inventory.cluster.host(vm.home_id)
-            old_home.remove_served_image(vm.vm_id)
-            vm.become_full_at(destination_id)
-        else:
-            vm.full_migrate(destination_id)
-        destination.attach(vm)
+        cluster.move(vm, source, cluster.host(destination_id))
         self.endpoint.send(
-            agent_name(source_id),
+            agent_name(source.host_id),
             MigrationOrder(
                 vmid=vm.vm_id,
                 migration_type=MigrationType.FULL,
@@ -333,7 +309,8 @@ class ClusterManagerDaemon:
         self.orders_sent += 1
 
     def _wake_home_and_return_all(self, home_id: int) -> None:
-        home = self.inventory.cluster.host(home_id)
+        cluster = self.inventory.cluster
+        home = cluster.host(home_id)
         self._wake_if_sleeping(home_id)
         returning = sorted(home.served_image_ids)
         by_host: Dict[int, List[int]] = {}
@@ -342,11 +319,7 @@ class ClusterManagerDaemon:
             if not home.can_fit(vm.memory_mib):
                 continue
             by_host.setdefault(vm.host_id, []).append(vmid)
-            current = self.inventory.cluster.host(vm.host_id)
-            current.detach(vmid)
-            vm.reintegrate()
-            home.attach(vm)
-            home.remove_served_image(vmid)
+            cluster.move(vm, cluster.host(vm.host_id), home)
         for host_id, vmids in by_host.items():
             self.endpoint.send(
                 agent_name(host_id), ReintegrationOrder(tuple(vmids))

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster, HostRole, PowerState
 from repro.errors import ConfigError
 from repro.vm import VirtualMachine
+from repro.vm.state import Residency
 
 
 class TestConstruction:
@@ -68,3 +69,70 @@ class TestAggregates:
     def test_roles_enum_values(self):
         assert HostRole.COMPUTE.value == "compute"
         assert HostRole.CONSOLIDATION.value == "consolidation"
+
+
+def _placed(partial):
+    """Two homes (0, 1) and two consolidation hosts (2, 3); VM 1 of home
+    0 runs full there, or partial on host 2 with a 512 MiB working set."""
+    cluster = Cluster(2, 2, 10_000.0)
+    vm = VirtualMachine(1, 0, 4096.0)
+    cluster.host(0).attach(vm)
+    if partial:
+        cluster.host(0).detach(1)
+        vm.become_partial(2, 512.0)
+        cluster.host(2).attach(vm)
+        cluster.host(0).add_served_image(1)
+    return cluster, vm
+
+
+FULL, PARTIAL = Residency.FULL, Residency.PARTIAL
+
+
+class TestMove:
+    @pytest.mark.parametrize(
+        "partial, source, destination, working_set, expected",
+        [
+            # expected: (host, home, residency, hosts serving the image)
+            pytest.param(False, 0, 2, None, (2, 2, FULL, []),
+                         id="full-to-full"),
+            pytest.param(False, 0, 2, 512.0, (2, 0, PARTIAL, [0]),
+                         id="full-to-partial"),
+            pytest.param(True, 2, 3, 512.0, (3, 0, PARTIAL, [0]),
+                         id="partial-to-partial"),
+            pytest.param(True, 2, 0, None, (0, 0, FULL, []),
+                         id="partial-to-home"),
+            pytest.param(True, 2, 1, None, (1, 1, FULL, []),
+                         id="partial-to-elsewhere"),
+            pytest.param(True, 2, 2, None, (2, 2, FULL, []),
+                         id="partial-in-place"),
+        ],
+    )
+    def test_transition(
+        self, partial, source, destination, working_set, expected
+    ):
+        cluster, vm = _placed(partial)
+        cluster.move(
+            vm, cluster.host(source), cluster.host(destination), working_set
+        )
+        serving = [
+            host.host_id for host in cluster if 1 in host.served_image_ids
+        ]
+        assert (vm.host_id, vm.home_id, vm.residency, serving) == expected
+        assert [host.host_id for host in cluster if host.has_vm(1)] == [
+            expected[0]
+        ]
+        cluster.check_invariants()
+
+    def test_partial_onto_its_home_lands_as_a_reintegration(self):
+        moved, vm = _placed(partial=True)
+        moved.move(vm, moved.host(2), moved.host(0))
+        reintegrated, twin = _placed(partial=True)
+        reintegrated.host(2).detach(1)
+        twin.reintegrate()
+        reintegrated.host(0).attach(twin)
+        reintegrated.host(0).remove_served_image(1)
+        assert repr(vm) == repr(twin)
+        assert vm.working_set_mib is twin.working_set_mib is None
+        assert [repr(host) for host in moved] == [
+            repr(host) for host in reintegrated
+        ]
