@@ -47,12 +47,13 @@ INDEX_SPECS: Tuple[IndexSpec, ...] = (
         attrs=frozenset({"_partial_vms", "_away_full"}),
         leakable=frozenset({"_partial_vms", "_away_full"}),
         mutators=frozenset(
-            {"FarmSimulation.__init__", "FarmSimulation._sync_vm_index"}
+            {"FarmSimulation.__init__", "FarmSimulation._move"}
         ),
         reason=(
             "the partial-VM and away-from-home indexes mirror per-VM "
-            "residency; _sync_vm_index is the single transition point "
-            "that keeps them consistent with VirtualMachine state"
+            "residency; _move, the one migration commit, is the single "
+            "transition point that keeps them consistent with "
+            "VirtualMachine state"
         ),
     ),
     IndexSpec(

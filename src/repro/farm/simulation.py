@@ -75,6 +75,44 @@ _SLEEP_STATE = "sleeping"
 #: (whose ``_wake_pending`` entry is ``None``).
 _NO_CHAIN = object()
 
+_FULL = TrafficCategory.FULL_MIGRATION
+_UPLOAD = TrafficCategory.MEMORY_UPLOAD_SAS
+_DESCRIPTOR = TrafficCategory.PARTIAL_DESCRIPTOR
+_REINTEGRATION = TrafficCategory.REINTEGRATION
+
+#: Each migration kind's mechanism, keyed by its trace kind: the
+#: bottleneck it serializes on (``nic`` or ``sas``) and whether that is
+#: the destination's rather than the source's, its latency and occupancy
+#: fields of MigrationCostModel, its traffic category, and the
+#: MigrationCounters field that counts it.  The kind, not the placement,
+#: picks the mechanism: a re-home onto the VM's own powered home lands
+#: like a reintegration but costs a full migration.
+_FULL_MOVE = ("nic", False, "full_migration_s", "full_occupancy_s", _FULL)
+_PARTIAL_MOVE = (
+    "sas", False, "partial_migration_s", "partial_occupancy_s", _UPLOAD
+)
+_MOVE_KINDS = {
+    "vacate_full": _FULL_MOVE + ("full_migrations",),
+    "compact_full": _FULL_MOVE + ("full_migrations",),
+    "exchange_full": _FULL_MOVE + ("full_migrations",),
+    "return_home": _FULL_MOVE + ("full_migrations",),
+    "rehome": _FULL_MOVE + ("rehomings",),
+    "vacate_partial": _PARTIAL_MOVE + ("partial_migrations",),
+    "exchange_partial": _PARTIAL_MOVE + ("partial_migrations",),
+    "relocate_partial": (
+        "nic", False, "partial_relocation_s", "relocation_occupancy_s",
+        _DESCRIPTOR, "partial_relocations",
+    ),
+    "reintegration": (
+        "nic", True, "reintegration_s", "reintegration_occupancy_s",
+        _REINTEGRATION, "reintegrations",
+    ),
+    "convert_in_place": (
+        "nic", False, "inplace_conversion_s", "inplace_conversion_s",
+        TrafficCategory.CONVERSION_PULL, "conversions_in_place",
+    ),
+}
+
 
 class FarmSimulation:
     """One day of one policy over one trace ensemble."""
@@ -163,6 +201,18 @@ class FarmSimulation:
 
         self._jitter_rng = self.streams.get("activation-jitter")
         self._traffic_rng = self.streams.get("traffic")
+        # The kind table with this run's cost fields looked up once.
+        costs = config.costs
+        self._move_kinds = {
+            kind: (
+                resource, on_destination, getattr(costs, latency),
+                getattr(costs, occupancy), category, counter,
+            )
+            for kind, (
+                resource, on_destination, latency, occupancy, category,
+                counter,
+            ) in _MOVE_KINDS.items()
+        }
 
         # Fault injection: the plan fixes time-scheduled faults up front,
         # the injector answers per-exposure queries.  With the default
@@ -201,9 +251,9 @@ class FarmSimulation:
         #: origin_home_id -> ids of VMs that are FULL away from their
         #: origin home (the _return_full_vms_home candidates), plus the
         #: ids of all currently PARTIAL VMs (the working-set growth
-        #: candidates).  Maintained by _sync_vm_index at every residency
-        #: or placement mutation; iterated sorted, so behaviour matches
-        #: the full ascending-vm_id rescans these replace.
+        #: candidates).  Maintained by _move, the one commit of every
+        #: residency or placement change; iterated sorted, so behaviour
+        #: matches the full ascending-vm_id rescans these replace.
         self._away_full: Dict[int, Set[int]] = {}
         self._partial_vms: Set[int] = set()
         self._debug_indexes = bool(os.environ.get("REPRO_DEBUG_INDEXES"))
@@ -392,26 +442,6 @@ class FarmSimulation:
                 active_count -= 1
         self._active_count = active_count
 
-    def _sync_vm_index(self, vm: VirtualMachine) -> None:
-        """Refresh one VM's membership in the placement indexes.
-
-        Must be called after every residency or placement mutation; the
-        debug mode (``REPRO_DEBUG_INDEXES=1``) cross-checks the indexes
-        against full rescans at every interval boundary.
-        """
-        vm_id = vm.vm_id
-        if vm.residency is Residency.PARTIAL:
-            self._partial_vms.add(vm_id)
-        else:
-            self._partial_vms.discard(vm_id)
-        bucket = self._away_full.get(vm.origin_home_id)
-        if vm.residency is Residency.FULL and vm.host_id != vm.origin_home_id:
-            if bucket is None:
-                bucket = self._away_full[vm.origin_home_id] = set()
-            bucket.add(vm_id)
-        elif bucket is not None:
-            bucket.discard(vm_id)
-
     def _verify_vm_indexes(self) -> None:
         """Debug cross-check: indexes must equal a from-scratch rescan."""
         partial = {
@@ -557,9 +587,13 @@ class FarmSimulation:
             # consolidated): the user sees no delay (§5.5).
             completed = now
         elif action is ActivationAction.CONVERT_IN_PLACE:
-            completed = self._convert_in_place(vm, now)
+            completed = self._activate_away(
+                vm, vm.host_id, "convert_in_place", now
+            )
         elif action is ActivationAction.MIGRATE_NEW_HOME:
-            completed = self._rehome(vm, decision.target_host_id, now)
+            completed = self._activate_away(
+                vm, decision.target_host_id, "rehome", now
+            )
         else:
             completed = self._handle_wake_home_return_all(vm, now)
         self.result.delays.append(
@@ -572,102 +606,39 @@ class FarmSimulation:
         )
         self._flush_power()
 
-    def _convert_in_place(
-        self, vm: VirtualMachine, now: float, fault_exempt: bool = False
-    ) -> float:
-        host = self.cluster.host(vm.host_id)
-        old_home = self.cluster.host(vm.home_id)
-        pull_mib = vm.memory_mib - (vm.working_set_mib or 0.0)
-        fraction = None if fault_exempt else self._injector.migration_abort()
-        if fraction is not None:
-            # The image pull died mid-stream: the VM stays partial and
-            # the activation falls back to waking its home (§3.2); the
-            # rescue itself is fault-exempt so recovery terminates.
-            self._charge_aborted_attempt(
-                vm.vm_id, [("nic", host.host_id)], now,
-                self.config.costs.inplace_conversion_s,
-                self.config.costs.inplace_conversion_s,
-                TrafficCategory.CONVERSION_PULL, pull_mib, fraction,
-            )
-            self.faults.migration_retries += 1
-            self._trace_fault("fault.migration_retry", vm=vm.vm_id)
-            return self._handle_wake_home_return_all(
-                vm, now, fault_exempt=True
-            )
-        host.convert_vm_full_in_place(vm.vm_id)
-        self._sync_vm_index(vm)
-        old_home.remove_served_image(vm.vm_id)
-        # The remaining image streams in over the consolidation host's
-        # NIC while the VM keeps executing on its resident working set,
-        # so the transfer occupies the NIC without stalling the user;
-        # what the user perceives is the resume handshake (§5.5).
-        start, end = self.scheduler.reserve_one(
-            ("nic", host.host_id),
-            now,
-            self.config.costs.inplace_conversion_s,
-            not_before=self._settles_at.get(vm.vm_id, 0.0),
-        )
-        self.ledger.traffic.add(TrafficCategory.CONVERSION_PULL, pull_mib)
-        # The image is pulled from the old home's memory server; the
-        # conversion has already made this host the VM's home.
-        self._trace_migration(
-            "convert_in_place", vm.vm_id, old_home.host_id, host.host_id,
-            pull_mib, start, end,
-        )
-        self._close_episode(vm.vm_id)
-        self._settle(vm.vm_id, end)
-        self.ledger.counters.conversions_in_place += 1
-        self._refresh_power(host)
-        return now + self.config.costs.reintegration_s
-
-    def _rehome(
+    def _activate_away(
         self,
         vm: VirtualMachine,
         destination_id: int,
+        kind: str,
         now: float,
         fault_exempt: bool = False,
     ) -> float:
+        """Make an activated partial VM full away from its home (§3.2):
+        convert it in place (``destination_id`` is its host) or re-home
+        it; returns when the user stops waiting."""
         source = self.cluster.host(vm.host_id)
-        old_home = self.cluster.host(vm.home_id)
         destination = self.cluster.host(destination_id)
-        fraction = None if fault_exempt else self._injector.migration_abort()
-        if fraction is not None:
-            # The full migration died mid-transfer: roll back to the
-            # consolidated placement and wake the home instead.
-            self._charge_aborted_attempt(
-                vm.vm_id, [("nic", source.host_id)], now,
-                self.config.costs.full_migration_s,
-                self.config.costs.full_occupancy_s,
-                TrafficCategory.FULL_MIGRATION, vm.memory_mib, fraction,
-            )
+        end = self._move(
+            vm, source, destination, kind, now, fault_exempt=fault_exempt
+        )
+        if end is None:
+            # The transfer died mid-stream: the VM stays partial and the
+            # activation falls back to waking its home; the rescue itself
+            # is fault-exempt so recovery terminates.
             self.faults.migration_retries += 1
             self._trace_fault("fault.migration_retry", vm=vm.vm_id)
             return self._handle_wake_home_return_all(
                 vm, now, fault_exempt=True
             )
-        source.detach(vm.vm_id)
-        vm.become_full_at(destination_id)
-        destination.attach(vm)
-        self._sync_vm_index(vm)
-        old_home.remove_served_image(vm.vm_id)
-        start, end = self.scheduler.reserve_one(
-            ("nic", source.host_id),
-            now,
-            self.config.costs.full_migration_s,
-            occupancy_s=self.config.costs.full_occupancy_s,
-            not_before=self._settles_at.get(vm.vm_id, 0.0),
-        )
-        self.ledger.traffic.add(TrafficCategory.FULL_MIGRATION, vm.memory_mib)
-        self._trace_migration(
-            "rehome", vm.vm_id, source.host_id, destination_id,
-            vm.memory_mib, start, end,
-        )
-        self._close_episode(vm.vm_id)
-        self._settle(vm.vm_id, end)
-        self.ledger.counters.rehomings += 1
         self._consider_suspend(source)
         self._refresh_power(source)
         self._refresh_power(destination)
+        if destination is source:
+            # The remaining image streams in over the host's NIC while
+            # the VM keeps executing on its resident working set, so the
+            # user perceives only the resume handshake (§5.5).
+            return now + self.config.costs.reintegration_s
         return end
 
     def _handle_wake_home_return_all(
@@ -697,71 +668,37 @@ class FarmSimulation:
             home.served_image_ids,
             key=lambda vid: (vid != trigger_id, vid),
         )
-        costs = self.config.costs
-        reintegration_s = costs.reintegration_s
-        reintegration_occupancy_s = costs.reintegration_occupancy_s
-        sample_reintegration_mib = costs.sample_reintegration_mib
-        traffic_rng = self._traffic_rng
         vms = self.vms
         hostof = self.cluster.host
-        reserve_one = self.scheduler.reserve_one
-        settles = self._settles_at
-        traffic_add = self.ledger.traffic.add
-        counters = self.ledger.counters
+        move = self._move
         dirty_add = self._power_dirty.add
-        migration_abort = self._injector.migration_abort
-        home_nic = ("nic", home.host_id)
         for vm_id in returning:
             vm = vms[vm_id]
             if vm.memory_mib > home.capacity_mib - home._used_mib + 1e-9:
                 # Foreign re-homed VMs may crowd the host; leave the
                 # stragglers consolidated rather than over-commit.
                 continue
-            if not fault_exempt:
-                fraction = migration_abort()
-                if fraction is not None:
-                    self._charge_aborted_attempt(
-                        vm_id, [home_nic], now,
-                        reintegration_s,
-                        reintegration_occupancy_s,
-                        TrafficCategory.REINTEGRATION,
-                        sample_reintegration_mib(traffic_rng),
-                        fraction,
-                    )
-                    if vm_id != trigger_id:
-                        # Stays consolidated; its image is still served,
-                        # so a later activation or pass recovers it.
-                        continue
-                    # The user is waiting on the trigger: retry the
-                    # reintegration immediately (it queues behind the
-                    # aborted attempt via the settle mark).
-                    self.faults.migration_retries += 1
-                    self._trace_fault("fault.migration_retry", vm=vm_id)
             source = hostof(vm.host_id)
             # Reintegrations queue on the woken home's NIC: a resume
             # storm of many VMs returning to one host is what produces
             # the Figure 11 tail.
-            start, end = reserve_one(
-                home_nic,
-                now,
-                reintegration_s,
-                occupancy_s=reintegration_occupancy_s,
-                not_before=settles.get(vm_id, 0.0),
+            end = move(
+                vm, source, home, "reintegration", now,
+                fault_exempt=fault_exempt,
             )
-            source.detach(vm_id)
-            vm.reintegrate()
-            home.attach(vm)
-            self._sync_vm_index(vm)
-            home.remove_served_image(vm_id)
-            reintegration_mib = sample_reintegration_mib(traffic_rng)
-            traffic_add(TrafficCategory.REINTEGRATION, reintegration_mib)
-            self._trace_migration(
-                "reintegration", vm_id, source.host_id, home.host_id,
-                reintegration_mib, start, end,
-            )
-            self._close_episode(vm_id)
-            self._settle(vm_id, end)
-            counters.reintegrations += 1
+            if end is None:
+                if vm_id != trigger_id:
+                    # Stays consolidated; its image is still served,
+                    # so a later activation or pass recovers it.
+                    continue
+                # The user is waiting on the trigger: retry at once,
+                # fault-exempt, behind the aborted attempt's settle mark.
+                self.faults.migration_retries += 1
+                self._trace_fault("fault.migration_retry", vm=vm_id)
+                end = move(
+                    vm, source, home, "reintegration", now,
+                    fault_exempt=True,
+                )
             if vm_id == trigger_id:
                 trigger_end = end
             self._consider_suspend(source)
@@ -792,10 +729,15 @@ class FarmSimulation:
         host = self.cluster.host(trigger.host_id)
         remaining = trigger.memory_mib - (trigger.working_set_mib or 0.0)
         if host.can_fit(remaining):
-            return self._convert_in_place(trigger, now, fault_exempt=True)
+            return self._activate_away(
+                trigger, host.host_id, "convert_in_place", now,
+                fault_exempt=True,
+            )
         destination = self.manager.reroute_activation(trigger)
         if destination is not None:
-            return self._rehome(trigger, destination, now, fault_exempt=True)
+            return self._activate_away(
+                trigger, destination, "rehome", now, fault_exempt=True
+            )
         return self._handle_wake_home_return_all(
             trigger, now, fault_exempt=True
         )
@@ -823,9 +765,9 @@ class FarmSimulation:
             source = self.cluster.host(vm.host_id)
             # An aborted return leaves the VM full where it is; the next
             # wake of this home retries it.
-            if self._move_full(
-                vm, source, home, now, "return_home",
-                self._settles_at.get(vm_id, 0.0), fault_exempt=fault_exempt,
+            if self._move(
+                vm, source, home, "return_home", now,
+                fault_exempt=fault_exempt,
             ) is None:
                 continue
             self._consider_suspend(source)
@@ -848,9 +790,9 @@ class FarmSimulation:
         self.scheduler.extend(("nic", home.host_id), ready)
         # Leg 1: full migration back to the origin home.  If it aborts,
         # the VM stays consolidated and a later planning pass retries.
-        end_full = self._move_full(
-            vm, consolidation, home, now, "exchange_full",
-            max(self._settles_at.get(vm.vm_id, 0.0), ready),
+        end_full = self._move(
+            vm, consolidation, home, "exchange_full", now,
+            not_before=max(self._settles_at.get(vm.vm_id, 0.0), ready),
         )
         if end_full is None:
             self._refresh_power(home)
@@ -858,9 +800,9 @@ class FarmSimulation:
         # Leg 2: immediately re-consolidate as a partial VM so the home
         # can go back to sleep.  If the re-upload aborts, the VM stays
         # full at its home, which therefore cannot sleep this round.
-        if not home_had_vms and self._move_partial(
-            vm, home, consolidation, plan.working_set_mib, now,
-            "exchange_partial", end_full,
+        if not home_had_vms and self._move(
+            vm, home, consolidation, "exchange_partial", now,
+            working_set_mib=plan.working_set_mib, not_before=end_full,
         ) is not None:
             self._consider_suspend(home)
         # If the home was already awake running VMs, the returned full VM
@@ -880,60 +822,17 @@ class FarmSimulation:
     def _execute_compaction(self, plan: HostVacatePlan, now: float) -> None:
         """Empty one consolidation host into its powered peers."""
         source = self.cluster.host(plan.host_id)
-        source_nic = ("nic", source.host_id)
-        costs = self.config.costs
-        settles = self._settles_at
         # An aborted move rolls back: the VM stays put; the host simply
         # is not emptied this round and a later pass retries.
         for migration in plan.migrations:
-            vm = self.vms[migration.vm_id]
-            vm_id = vm.vm_id
             destination = self.cluster.host(migration.destination_id)
-            if migration.mode is MigrationMode.PARTIAL:
-                fraction = self._injector.migration_abort()
-                if fraction is not None:
-                    self._charge_aborted_attempt(
-                        vm_id, [source_nic], now,
-                        costs.partial_relocation_s,
-                        costs.relocation_occupancy_s,
-                        TrafficCategory.PARTIAL_DESCRIPTOR,
-                        costs.sample_descriptor_mib(self._traffic_rng)
-                        + (vm.working_set_mib or 0.0),
-                        fraction,
-                    )
-                    continue
-                start, end = self.scheduler.reserve_one(
-                    source_nic,
-                    now,
-                    costs.partial_relocation_s,
-                    occupancy_s=costs.relocation_occupancy_s,
-                    not_before=settles.get(vm_id, 0.0),
-                )
-                source.detach(vm_id)
-                vm.relocate_partial(destination.host_id)
-                destination.attach(vm)
-                self._sync_vm_index(vm)
-                # Only the descriptor and resident pages cross the wire;
-                # the memory image stays at the home's memory server.
-                relocation_mib = (
-                    costs.sample_descriptor_mib(self._traffic_rng)
-                    + (vm.working_set_mib or 0.0)
-                )
-                self.ledger.traffic.add(
-                    TrafficCategory.PARTIAL_DESCRIPTOR, relocation_mib
-                )
-                self._trace_migration(
-                    "relocate_partial", vm_id, source.host_id,
-                    destination.host_id, relocation_mib, start, end,
-                )
-                self.ledger.counters.partial_relocations += 1
-                self._settle(vm_id, end)
-            elif self._move_full(
-                vm, source, destination, now, "compact_full",
-                settles.get(vm_id, 0.0),
-            ) is None:
-                continue
-            self._power_dirty.add(destination.host_id)
+            partial = migration.mode is MigrationMode.PARTIAL
+            if self._move(
+                self.vms[migration.vm_id], source, destination,
+                "relocate_partial" if partial else "compact_full", now,
+                working_set_mib=migration.working_set_mib,
+            ) is not None:
+                self._power_dirty.add(destination.host_id)
         self._power_dirty.add(source.host_id)
         self._consider_suspend(source)
 
@@ -943,141 +842,144 @@ class FarmSimulation:
         # An aborted move rolls back: the VM stays on the source host,
         # which therefore cannot be vacated this round.
         for migration in vacation.migrations:
-            vm = self.vms[migration.vm_id]
             destination = self.cluster.host(migration.destination_id)
             ready: Optional[float] = now
             if destination._power_state is not powered:
                 ready = self._wake_host(destination)
                 if ready is None:
                     continue  # destination will not wake; VM stays put
-            if migration.mode is MigrationMode.PARTIAL:
-                end = self._move_partial(
-                    vm, source, destination, migration.working_set_mib,
-                    now, "vacate_partial", 0.0, ready,
-                )
-            else:
-                end = self._move_full(
-                    vm, source, destination, now, "vacate_full", 0.0,
-                    ready,
-                )
-            if end is not None:
+            partial = migration.mode is MigrationMode.PARTIAL
+            if self._move(
+                self.vms[migration.vm_id], source, destination,
+                "vacate_partial" if partial else "vacate_full", now,
+                working_set_mib=migration.working_set_mib,
+                not_before=0.0, ready=ready,
+            ) is not None:
                 self._power_dirty.add(destination.host_id)
         self._power_dirty.add(source.host_id)
         self._consider_suspend(source)
 
     # ------------------------------------------------------------------
-    # migration commits
+    # the migration commit
     # ------------------------------------------------------------------
 
-    def _move_full(
+    def _move(
         self,
         vm: VirtualMachine,
         source: Host,
         destination: Host,
-        now: float,
         kind: str,
-        not_before: float,
+        now: float,
+        working_set_mib: Optional[float] = None,
+        not_before: Optional[float] = None,
         ready: float = 0.0,
         fault_exempt: bool = False,
     ) -> Optional[float]:
-        """Commit one full live migration over the source's NIC.
+        """Commit one migration of ``kind``, a key of ``_MOVE_KINDS``.
 
-        Draws the abort first; an aborted attempt is rolled back and
-        returns ``None``.  Otherwise the transfer starts no earlier than
-        ``not_before``, the VM lands on ``destination`` (its new home),
-        and it settles at the later of the transfer's end and ``ready``
-        (when the destination is up).  Returns the transfer's end.
+        ``vm`` runs on ``source``; it lands on ``destination`` partial
+        with ``working_set_mib``, or full when that is ``None`` (see
+        :meth:`Cluster.move`).  Unless ``fault_exempt``, the abort is
+        drawn first: an aborted attempt leaves the placement alone,
+        charges the share of its nominal wire time and traffic already
+        spent, moves the VM's settle mark behind the wreck, and returns
+        ``None``.  Otherwise the transfer starts no earlier than
+        ``not_before`` (by default the VM's settle mark), the VM lands,
+        its index entries, traffic, trace event, consolidation episode
+        and counter are written, and it settles at the later of the
+        transfer's end and ``ready`` (when the destination is up).
+        Returns the transfer's end.
         """
-        costs = self.config.costs
+        (
+            resource, on_destination, latency_s, occupancy_s, category,
+            counter,
+        ) = self._move_kinds[kind]
         vm_id = vm.vm_id
-        nic = ("nic", source.host_id)
-        if not fault_exempt:
-            fraction = self._injector.migration_abort()
-            if fraction is not None:
-                self._charge_aborted_attempt(
-                    vm_id, [nic], now,
-                    costs.full_migration_s,
-                    costs.full_occupancy_s,
-                    TrafficCategory.FULL_MIGRATION, vm.memory_mib, fraction,
-                )
-                return None
-        start, end = self.scheduler.reserve_one(
-            nic,
-            now,
-            costs.full_migration_s,
-            occupancy_s=costs.full_occupancy_s,
-            not_before=not_before,
+        bottleneck = (
+            resource, destination.host_id if on_destination else source.host_id
         )
-        source.detach(vm_id)
-        vm.full_migrate(destination.host_id)
-        destination.attach(vm)
-        self._sync_vm_index(vm)
-        self.ledger.traffic.add(TrafficCategory.FULL_MIGRATION, vm.memory_mib)
-        self._trace_migration(
-            kind, vm_id, source.host_id, destination.host_id,
-            vm.memory_mib, start, end,
-        )
-        self.ledger.counters.full_migrations += 1
-        self._settle(vm_id, end if end >= ready else ready)
-        return end
-
-    def _move_partial(
-        self,
-        vm: VirtualMachine,
-        source: Host,
-        destination: Host,
-        working_set_mib: float,
-        now: float,
-        kind: str,
-        not_before: float,
-        ready: float = 0.0,
-    ) -> Optional[float]:
-        """Commit one partial migration (§3.1) from ``source``.
-
-        The image uploads to the source's memory server over its SAS
-        path, which the transfer serializes on; the small descriptor
-        push does not tie up the destination.  The VM then runs on
-        ``destination`` with its working set, and a consolidation
-        episode opens.  Draws, rollback, ``not_before``, ``ready`` and
-        the return value are as in :meth:`_move_full`; the abort's
-        nominal upload volume is drawn only when the attempt aborts.
-        """
         costs = self.config.costs
         rng = self._traffic_rng
-        vm_id = vm.vm_id
-        sas = ("sas", source.host_id)
-        fraction = self._injector.migration_abort()
-        if fraction is not None:
-            self._charge_aborted_attempt(
-                vm_id, [sas], now,
-                costs.partial_migration_s,
-                costs.partial_occupancy_s,
-                TrafficCategory.MEMORY_UPLOAD_SAS,
-                costs.sample_sas_upload_mib(rng),
-                fraction,
+        fraction = None if fault_exempt else self._injector.migration_abort()
+        # The nominal volume.  A partial migration draws its descriptor
+        # only when it commits, ahead of its SAS upload.
+        if category is _UPLOAD:
+            if fraction is None:
+                descriptor_mib = costs.sample_descriptor_mib(rng)
+            mib = costs.sample_sas_upload_mib(rng)
+        elif category is _FULL:
+            mib = vm.memory_mib
+        elif category is _REINTEGRATION:
+            mib = costs.sample_reintegration_mib(rng)
+        elif category is _DESCRIPTOR:
+            # Only the descriptor and resident pages cross the wire; the
+            # memory image stays at the home's memory server.
+            mib = costs.sample_descriptor_mib(rng) + (
+                vm.working_set_mib or 0.0
             )
+        else:  # the rest of the image, pulled from the old home
+            mib = vm.memory_mib - (vm.working_set_mib or 0.0)
+        settles = self._settles_at
+        if fraction is not None:
+            _start, end = self.scheduler.reserve(
+                [bottleneck],
+                now,
+                latency_s * fraction,
+                occupancy_s=occupancy_s * fraction,
+                not_before=settles.get(vm_id, 0.0),
+            )
+            mib *= fraction
+            self.ledger.traffic.add(category, mib)
+            self.faults.migration_aborts += 1
+            self.faults.aborted_traffic_mib += mib
+            self._trace_fault(
+                "fault.migration_rollback", vm=vm_id, mib=mib,
+                fraction=fraction,
+            )
+            self._settle(vm_id, end)
             return None
         start, end = self.scheduler.reserve_one(
-            sas,
+            bottleneck,
             now,
-            costs.partial_migration_s,
-            occupancy_s=costs.partial_occupancy_s,
-            not_before=not_before,
+            latency_s,
+            occupancy_s=occupancy_s,
+            not_before=(
+                settles.get(vm_id, 0.0) if not_before is None else not_before
+            ),
         )
-        source.detach(vm_id)
-        vm.become_partial(destination.host_id, working_set_mib)
-        destination.attach(vm)
-        self._sync_vm_index(vm)
-        source.add_served_image(vm_id)
-        descriptor_mib = costs.sample_descriptor_mib(rng)
-        upload_mib = costs.sample_sas_upload_mib(rng)
-        self.ledger.record_partial_migration(descriptor_mib, upload_mib)
-        self._trace_migration(
-            kind, vm_id, source.host_id, destination.host_id,
-            descriptor_mib + upload_mib, start, end,
-        )
-        self._episode_open.add(vm_id)
-        self.ledger.counters.partial_migrations += 1
+        old_home_id = vm.home_id
+        self.cluster.move(vm, source, destination, working_set_mib)
+        # The placement indexes (see _verify_vm_indexes).
+        full = vm.residency is Residency.FULL
+        if full:
+            self._partial_vms.discard(vm_id)
+        else:
+            self._partial_vms.add(vm_id)
+        bucket = self._away_full.get(vm.origin_home_id)
+        if full and vm.host_id != vm.origin_home_id:
+            if bucket is None:
+                bucket = self._away_full[vm.origin_home_id] = set()
+            bucket.add(vm_id)
+        elif bucket is not None:
+            bucket.discard(vm_id)
+        ledger = self.ledger
+        if category is _UPLOAD:
+            ledger.record_partial_migration(descriptor_mib, mib)
+            mib = descriptor_mib + mib
+            self._episode_open.add(vm_id)
+        else:
+            ledger.traffic.add(category, mib)
+        if self.tracer.enabled:
+            # An in-place conversion pulls its image from the old home.
+            self._trace_migration(
+                kind, vm_id,
+                old_home_id if destination is source else source.host_id,
+                destination.host_id, mib, start, end,
+            )
+        if full and vm_id in self._episode_open:
+            self._close_episode(vm_id)
+        counters = ledger.counters
+        setattr(counters, counter, getattr(counters, counter) + 1)
         self._settle(vm_id, end if end >= ready else ready)
         return end
 
@@ -1088,69 +990,30 @@ class FarmSimulation:
         heappush(self._settle_heap, (settles_at, vm_id))
 
     def _close_episode(self, vm_id: int) -> None:
-        """End one consolidation episode: charge its demand-fault traffic.
+        """End the VM's open consolidation episode: charge its
+        demand-fault traffic.
 
         Injected page-fetch timeouts re-send part of the burst; the
         retry traffic lands in the same ledger category (real bytes on
         the same wire) and is additionally tracked per-fault.
         """
-        if vm_id in self._episode_open:
-            self._episode_open.discard(vm_id)
-            demand_mib = self.config.costs.sample_on_demand_mib(
-                self._traffic_rng
+        self._episode_open.discard(vm_id)
+        demand_mib = self.config.costs.sample_on_demand_mib(self._traffic_rng)
+        self.ledger.record_on_demand(demand_mib)
+        if self.tracer.enabled:
+            self.tracer.observe(
+                "pages_fetched", demand_mib * KIB_PER_MIB / PAGE_SIZE_KIB
             )
-            self.ledger.record_on_demand(demand_mib)
-            if self.tracer.enabled:
-                self.tracer.observe(
-                    "pages_fetched", demand_mib * KIB_PER_MIB / PAGE_SIZE_KIB
-                )
-            timeouts = self._injector.page_timeouts()
-            if timeouts:
-                retry_mib = timeouts * self.fault_profile.page_retry_mib
-                self.ledger.traffic.add(
-                    TrafficCategory.ON_DEMAND_PAGES, retry_mib
-                )
-                self.faults.page_fetch_timeouts += timeouts
-                self.faults.page_retry_traffic_mib += retry_mib
-                self._trace_fault(
-                    "fault.page_retry", vm=vm_id,
-                    timeouts=timeouts, retry_mib=retry_mib,
-                )
-
-    def _charge_aborted_attempt(
-        self,
-        vm_id: int,
-        resources: List,
-        now: float,
-        latency_s: float,
-        occupancy_s: float,
-        category: TrafficCategory,
-        nominal_mib: float,
-        fraction: float,
-    ) -> float:
-        """Roll back an aborted migration attempt.
-
-        Placement is untouched; the wire time and traffic already spent
-        when the abort fired (``fraction`` of the nominal operation) are
-        charged to the original bottleneck and ledger category, and the
-        VM's settle mark advances so a retry queues behind the wreck.
-        """
-        _start, end = self.scheduler.reserve(
-            resources,
-            now,
-            latency_s * fraction,
-            occupancy_s=occupancy_s * fraction,
-            not_before=self._settles_at.get(vm_id, 0.0),
-        )
-        mib = nominal_mib * fraction
-        self.ledger.traffic.add(category, mib)
-        self.faults.migration_aborts += 1
-        self.faults.aborted_traffic_mib += mib
-        self._trace_fault(
-            "fault.migration_rollback", vm=vm_id, mib=mib, fraction=fraction
-        )
-        self._settle(vm_id, end)
-        return end
+        timeouts = self._injector.page_timeouts()
+        if timeouts:
+            retry_mib = timeouts * self.fault_profile.page_retry_mib
+            self.ledger.traffic.add(TrafficCategory.ON_DEMAND_PAGES, retry_mib)
+            self.faults.page_fetch_timeouts += timeouts
+            self.faults.page_retry_traffic_mib += retry_mib
+            self._trace_fault(
+                "fault.page_retry", vm=vm_id,
+                timeouts=timeouts, retry_mib=retry_mib,
+            )
 
     # ------------------------------------------------------------------
     # tracing helpers (observation only — never consulted for behaviour)
@@ -1166,9 +1029,8 @@ class FarmSimulation:
         start_s: float,
         end_s: float,
     ) -> None:
-        """Record one committed migration with its bytes and wire window."""
-        if not self.tracer.enabled:
-            return
+        """Record one committed migration with its bytes and wire window
+        (callers check ``tracer.enabled``)."""
         self.tracer.event(
             "migration." + kind, CAT_MIGRATION,
             vm=vm_id, source=source_id, destination=destination_id,

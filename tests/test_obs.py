@@ -42,6 +42,35 @@ from repro.obs import (
 from repro.simulator.randomness import RngStreams
 
 
+#: The MigrationCounters field that each ``migration.<kind>`` event's
+#: kind counts in.
+MIGRATION_COUNTER_OF_KIND = {
+    "vacate_full": "full_migrations",
+    "compact_full": "full_migrations",
+    "exchange_full": "full_migrations",
+    "return_home": "full_migrations",
+    "vacate_partial": "partial_migrations",
+    "exchange_partial": "partial_migrations",
+    "relocate_partial": "partial_relocations",
+    "reintegration": "reintegrations",
+    "rehome": "rehomings",
+    "convert_in_place": "conversions_in_place",
+}
+
+
+def assert_counters_match_migration_events(counters, events):
+    """Each migration fact is written once: every migration counter
+    equals the number of its ``migration.*`` event witnesses."""
+    witnessed = dict.fromkeys(MIGRATION_COUNTER_OF_KIND.values(), 0)
+    for event in events:
+        if event.category == "migration":
+            kind = event.name[len("migration."):]
+            witnessed[MIGRATION_COUNTER_OF_KIND[kind]] += 1
+    assert {
+        field: getattr(counters, field) for field in witnessed
+    } == witnessed
+
+
 def make_event(seq=0, time_s=1.5, name="power.transition",
                category=CAT_POWER, phase=PHASE_INSTANT, **args):
     return TraceEvent(seq=seq, time_s=time_s, name=name,
@@ -379,7 +408,7 @@ class TestComponentEmission:
         config = FarmConfig(
             **FARM_SHAPE, faults=fault_profile_by_name("heavy")
         )
-        simulate_day(
+        result = simulate_day(
             config, strategy_by_name(policy_name), DayType.WEEKDAY,
             seed=FAULT_DAYS[policy_name], tracer=tracer,
         )
@@ -387,3 +416,8 @@ class TestComponentEmission:
         assert "migration.convert_in_place" in {e.name for e in migrations}
         for event in migrations:
             assert event.args["source"] != event.args["destination"], event
+        assert_counters_match_migration_events(result.counters, migrations)
+        if policy_name == "NewHome":
+            assert {e.name for e in migrations} == {
+                "migration." + kind for kind in MIGRATION_COUNTER_OF_KIND
+            }

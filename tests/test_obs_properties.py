@@ -8,8 +8,9 @@ invariants any healthy trace must satisfy:
 
 * spans strictly nest and balance (begin/end pair by name, stack empties),
 * timestamps are monotone non-decreasing and sequence numbers dense,
-* every :class:`FaultCounters` increment has a matching trace event
-  (and vice versa — the equalities are exact, not ``>=``),
+* every :class:`FaultCounters` and migration-counter increment has a
+  matching trace event (and vice versa — the equalities are exact, not
+  ``>=``),
 * per-host power-state chains rebuilt from ``power.*`` events replay
   legally through ``_LEGAL_TRANSITIONS``,
 * the metrics registry agrees with the event stream it rode along with,
@@ -38,6 +39,7 @@ from repro.obs import (
 from repro.simulator.randomness import RngStreams
 from repro.traces import DayType, generate_ensemble
 from tests.test_faults_properties import SMALL_SHAPE, random_profile
+from tests.test_obs import assert_counters_match_migration_events
 
 # Same tier as the faults battery: tier-1 by default, deselectable in
 # CI's quick tier via the marker.
@@ -119,7 +121,8 @@ class TestSpanStructure:
 
 
 class TestCounterEventMatching:
-    """Each FaultCounters field equals its trace-event witness, exactly."""
+    """Each FaultCounters field equals its trace-event witness, exactly;
+    so does each migration counter."""
 
     def test_battery_exercises_every_fault_class(self, battery):
         totals = [case.simulation.result.faults for case in battery]
@@ -142,6 +145,12 @@ class TestCounterEventMatching:
             )
             assert faults.migration_retries == len(
                 case.named("fault.migration_retry")
+            )
+
+    def test_migration_counters(self, battery):
+        for case in battery:
+            assert_counters_match_migration_events(
+                case.simulation.result.counters, case.events
             )
 
     def test_wake_failures(self, battery):
