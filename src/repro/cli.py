@@ -34,7 +34,7 @@ from typing import List, Optional
 
 from repro.analysis import Cdf, format_percent, format_table
 from repro.core import ALL_POLICIES, strategy_by_name, strategy_names
-from repro.errors import ConfigError, TraceFormatError
+from repro.errors import ConfigError, TraceFormatError, WorkerLostError
 from repro.farm import FarmConfig, SweepRunner, simulate_day
 from repro.faults import FAULT_PROFILE_NAMES, fault_profile_by_name
 from repro.traces import (
@@ -876,7 +876,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(stop.code or 0)
     try:
         return args.handler(args)
-    except (ConfigError, TraceFormatError) as error:
+    except (ConfigError, TraceFormatError, WorkerLostError) as error:
         print(str(error), file=sys.stderr)
         return 2
 

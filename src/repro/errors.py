@@ -36,6 +36,11 @@ class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 
 
+class WorkerLostError(ReproError):
+    """A pool worker process died mid-batch, taking the named runs with
+    it; no partial result is returned."""
+
+
 class CompressionError(ReproError):
     """A compressed page stream is malformed and cannot be decoded."""
 

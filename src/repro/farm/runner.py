@@ -35,12 +35,13 @@ import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from statistics import mean
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.strategies import PolicyLike, resolve_strategy
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkerLostError
 from repro.farm.config import FarmConfig
 from repro.farm.metrics import FarmResult
 from repro.farm.simulation import FarmSimulation
@@ -370,18 +371,29 @@ class SweepRunner:
     def _run_process(self, specs: List[RunSpec]) -> List[RunOutcome]:
         outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
         completed = 0
-        with ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_reset_cache_counters
-        ) as pool:
-            futures = [
-                pool.submit(_execute_indexed, (index, spec))
-                for index, spec in enumerate(specs)
+        try:
+            with ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_reset_cache_counters
+            ) as pool:
+                futures = [
+                    pool.submit(_execute_indexed, (index, spec))
+                    for index, spec in enumerate(specs)
+                ]
+                for future in as_completed(futures):
+                    index, outcome = future.result()
+                    outcomes[index] = outcome
+                    completed += 1
+                    self._report(completed, len(specs), outcome)
+        except BrokenProcessPool:
+            lost = [
+                spec.label or f"{spec.policy_name} seed {spec.seed}"
+                for spec, outcome in zip(specs, outcomes)
+                if outcome is None
             ]
-            for future in as_completed(futures):
-                index, outcome = future.result()
-                outcomes[index] = outcome
-                completed += 1
-                self._report(completed, len(specs), outcome)
+            raise WorkerLostError(
+                f"a pool worker died; {len(lost)} run(s) lost: "
+                + ", ".join(lost)
+            ) from None
         # as_completed drained every future, so the list is fully filled.
         return [outcome for outcome in outcomes if outcome is not None]
 

@@ -8,14 +8,15 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from tests.test_farm_runner import needs_fork
 
 
-def _run_cli(argv):
+def _run_cli(argv, launcher=("-m", "repro")):
     """Run ``python -m repro`` in a child process, as a user would."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "repro", *argv],
+        [sys.executable, *launcher, *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
 
@@ -89,6 +90,36 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "mean savings:" in out
         assert "ensemble cache" in out
+
+
+#: ``python -m repro`` with every pool run replaced by a worker death
+#: (forked workers inherit the patch).
+_DYING_WORKERS = """
+import os, runpy, sys
+import repro.farm.runner
+repro.farm.runner.execute_run = lambda spec: os._exit(3)
+sys.argv[0] = "repro"
+runpy.run_module("repro", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestDeadWorker:
+    @needs_fork
+    def test_sweep_reports_lost_runs_in_one_stderr_line(self):
+        proc = _run_cli(
+            [
+                "sweep", "--policy", "FulltoPartial", "--runs", "1",
+                "--workers", "2", "--consolidation-counts", "1,2",
+                "--home-hosts", "4", "--vms-per-host", "4",
+            ],
+            launcher=("-c", _DYING_WORKERS),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "a pool worker died; 2 run(s) lost: "
+            "FulltoPartial/1 consolidation hosts, "
+            "FulltoPartial/2 consolidation hosts\n"
+        )
 
 
 class TestMicroCommands:

@@ -1,11 +1,13 @@
 """The parallel sweep runner: determinism, caching, instrumentation."""
 
+import multiprocessing
+import os
 import pickle
 
 import pytest
 
 from repro.core import FULL_TO_PARTIAL, ONLY_PARTIAL
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkerLostError
 from repro.farm import (
     FarmConfig,
     RunSpec,
@@ -16,6 +18,7 @@ from repro.farm import (
     simulate_day,
 )
 from repro.faults import fault_profile_by_name
+from repro.farm import runner as runner_module
 from repro.farm.runner import (
     clear_ensemble_cache,
     ensemble_cache_stats,
@@ -343,3 +346,38 @@ class TestValidation:
         runner = SweepRunner()
         assert runner.run([]) == []
         assert runner.last_summary.runs == 0
+
+
+def _exit_worker(spec):
+    """Stands in for ``execute_run``: the worker process dies mid-run."""
+    os._exit(3)
+
+
+#: Forked workers inherit the monkeypatched ``execute_run``; spawned
+#: ones would import the real one.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must be forked to inherit the patched run",
+)
+
+
+@needs_fork
+class TestDeadWorker:
+    def test_lost_runs_are_named_and_no_summary_is_recorded(
+        self, monkeypatch, capfd
+    ):
+        monkeypatch.setattr(runner_module, "execute_run", _exit_worker)
+        specs = [
+            RunSpec(small_config(), FULL_TO_PARTIAL, DayType.WEEKDAY, seed)
+            for seed in range(4)
+        ]
+        runner = SweepRunner(backend="process", workers=2)
+        with pytest.raises(WorkerLostError) as caught:
+            runner.run(specs)
+        assert str(caught.value) == (
+            "a pool worker died; 4 run(s) lost: FulltoPartial seed 0, "
+            "FulltoPartial seed 1, FulltoPartial seed 2, "
+            "FulltoPartial seed 3"
+        )
+        assert runner.summaries == []
+        assert "Traceback" not in capfd.readouterr().err

@@ -13,7 +13,7 @@ shard.
 import pytest
 
 from repro.core import FULL_TO_PARTIAL, policy_by_name
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkerLostError
 from repro.farm import (
     FarmConfig,
     FarmSimulation,
@@ -25,9 +25,11 @@ from repro.farm import (
     validate_simulation,
     zone_run_specs,
 )
+from repro.farm import runner as runner_module
 from repro.farm.runner import _ensemble_for
 from repro.simulator.randomness import derive_seed
 from repro.traces import DayType
+from tests.test_farm_runner import _exit_worker, needs_fork
 
 
 def small_config(**overrides):
@@ -282,6 +284,21 @@ class TestEdgeCases:
             if zoned.partition.is_empty(zone):
                 assert budget.mean_power_w == 0.0
                 assert budget.peak_demand_w == 0.0
+
+    @needs_fork
+    def test_dead_worker_loses_the_zones_by_name(self, monkeypatch, capfd):
+        monkeypatch.setattr(runner_module, "execute_run", _exit_worker)
+        runner = SweepRunner(backend="process", workers=2)
+        with pytest.raises(WorkerLostError) as caught:
+            simulate_zoned_day(
+                small_config(), FULL_TO_PARTIAL, DayType.WEEKDAY,
+                zones=2, seed=5, runner=runner,
+            )
+        assert str(caught.value) == (
+            "a pool worker died; 2 run(s) lost: zone-0, zone-1"
+        )
+        assert runner.summaries == []
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_zone_count_exceeding_vm_count(self):
         config = FarmConfig(home_hosts=3, consolidation_hosts=3,
