@@ -950,7 +950,7 @@ class FarmSimulation:
         old_home_id = vm.home_id
         self.cluster.move(vm, source, destination, working_set_mib)
         # The placement indexes (see _verify_vm_indexes).
-        full = vm.residency is Residency.FULL
+        full = working_set_mib is None
         if full:
             self._partial_vms.discard(vm_id)
         else:
