@@ -631,14 +631,14 @@ class FarmSimulation:
             return self._handle_wake_home_return_all(
                 vm, now, fault_exempt=True
             )
-        self._consider_suspend(source)
         self._refresh_power(source)
-        self._refresh_power(destination)
         if destination is source:
             # The remaining image streams in over the host's NIC while
             # the VM keeps executing on its resident working set, so the
             # user perceives only the resume handshake (§5.5).
             return now + self.config.costs.reintegration_s
+        self._consider_suspend(source)
+        self._refresh_power(destination)
         return end
 
     def _handle_wake_home_return_all(
