@@ -587,11 +587,11 @@ class FarmSimulation:
             # consolidated): the user sees no delay (§5.5).
             completed = now
         elif action is ActivationAction.CONVERT_IN_PLACE:
-            completed = self._activate_away(
+            completed = self._activate_on_powered_host(
                 vm, vm.host_id, "convert_in_place", now
             )
         elif action is ActivationAction.MIGRATE_NEW_HOME:
-            completed = self._activate_away(
+            completed = self._activate_on_powered_host(
                 vm, decision.target_host_id, "rehome", now
             )
         else:
@@ -606,7 +606,7 @@ class FarmSimulation:
         )
         self._flush_power()
 
-    def _activate_away(
+    def _activate_on_powered_host(
         self,
         vm: VirtualMachine,
         destination_id: int,
@@ -614,9 +614,9 @@ class FarmSimulation:
         now: float,
         fault_exempt: bool = False,
     ) -> float:
-        """Make an activated partial VM full away from its home (§3.2):
-        convert it in place (``destination_id`` is its host) or re-home
-        it; returns when the user stops waiting."""
+        """Make an activated partial VM full without waking its home
+        (§3.2): convert it in place (``destination_id`` is its host) or
+        re-home it; returns when the user stops waiting."""
         source = self.cluster.host(vm.host_id)
         destination = self.cluster.host(destination_id)
         end = self._move(
@@ -729,13 +729,13 @@ class FarmSimulation:
         host = self.cluster.host(trigger.host_id)
         remaining = trigger.memory_mib - (trigger.working_set_mib or 0.0)
         if host.can_fit(remaining):
-            return self._activate_away(
+            return self._activate_on_powered_host(
                 trigger, host.host_id, "convert_in_place", now,
                 fault_exempt=True,
             )
         destination = self.manager.reroute_activation(trigger)
         if destination is not None:
-            return self._activate_away(
+            return self._activate_on_powered_host(
                 trigger, destination, "rehome", now, fault_exempt=True
             )
         return self._handle_wake_home_return_all(
