@@ -9,6 +9,7 @@ migration constants.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -99,16 +100,19 @@ class FarmConfig:
             raise ConfigError("host counts must be positive")
         if self.vms_per_host <= 0:
             raise ConfigError("vms_per_host must be positive")
-        if self.vm_memory_mib <= 0.0:
-            raise ConfigError("vm_memory_mib must be positive")
-        if self.host_capacity_mib is not None and self.host_capacity_mib <= 0.0:
-            raise ConfigError("host_capacity_mib must be positive")
+        # Each float check is written so that NaN and inf fail it.
+        if not 0.0 < self.vm_memory_mib < math.inf:
+            raise ConfigError("vm_memory_mib must be positive and finite")
+        if self.host_capacity_mib is not None and not (
+            0.0 < self.host_capacity_mib < math.inf
+        ):
+            raise ConfigError("host_capacity_mib must be positive and finite")
         if self.min_idle_intervals < 1:
             raise ConfigError("min_idle_intervals must be >= 1")
         remainder = self.planning_interval_s % TRACE_INTERVAL_SECONDS
-        if self.planning_interval_s <= 0 or abs(remainder) > 1e-9:
+        if not 0.0 < self.planning_interval_s < math.inf or abs(remainder) > 1e-9:
             raise ConfigError(
-                "planning_interval_s must be a positive multiple of "
+                "planning_interval_s must be a positive finite multiple of "
                 f"{TRACE_INTERVAL_SECONDS:.0f} s"
             )
         if not 0.0 < self.activation_jitter_s <= TRACE_INTERVAL_SECONDS:
@@ -116,10 +120,12 @@ class FarmConfig:
                 "activation_jitter_s must be in (0, "
                 f"{TRACE_INTERVAL_SECONDS:.0f}]"
             )
-        if self.working_set_growth_mib_per_h < 0.0:
-            raise ConfigError("working-set growth must be non-negative")
-        if self.idle_page_request_gap_s <= 0.0:
-            raise ConfigError("idle_page_request_gap_s must be positive")
+        if not 0.0 <= self.working_set_growth_mib_per_h < math.inf:
+            raise ConfigError("working-set growth must be non-negative and finite")
+        if not 0.0 < self.idle_page_request_gap_s < math.inf:
+            raise ConfigError(
+                "idle_page_request_gap_s must be positive and finite"
+            )
         if not 1.0 <= self.memory_overcommit <= 2.0:
             raise ConfigError(
                 "memory_overcommit must be in [1.0, 2.0] (the paper "

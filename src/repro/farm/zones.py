@@ -37,6 +37,7 @@ share the same 288 sampling instants.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -460,8 +461,10 @@ class GlobalController:
         budget_w: Optional[float] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if budget_w is not None and budget_w <= 0.0:
-            raise ConfigError(f"budget_w must be positive, got {budget_w}")
+        if budget_w is not None and not 0.0 < budget_w < math.inf:
+            raise ConfigError(
+                f"budget_w must be positive and finite, got {budget_w}"
+            )
         self.config = config
         self.policy = policy
         self.day_type = day_type

@@ -16,6 +16,7 @@ interpolates between them for sweep curves.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -90,12 +91,12 @@ class FaultProfile:
             )
         if self.wake_retry_cap < 0:
             raise ConfigError("wake_retry_cap must be non-negative")
-        if self.wake_backoff_base_s <= 0.0:
-            raise ConfigError("wake_backoff_base_s must be positive")
+        if not 0.0 < self.wake_backoff_base_s < math.inf:
+            raise ConfigError("wake_backoff_base_s must be positive and finite")
         if self.page_timeout_retries_max < 1:
             raise ConfigError("page_timeout_retries_max must be >= 1")
-        if self.page_retry_mib < 0.0:
-            raise ConfigError("page_retry_mib must be non-negative")
+        if not 0.0 <= self.page_retry_mib < math.inf:
+            raise ConfigError("page_retry_mib must be non-negative and finite")
 
     @property
     def is_null(self) -> bool:

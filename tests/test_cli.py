@@ -263,6 +263,19 @@ class TestUsageErrors:
         assert "Traceback" not in completed.stderr
         assert len(completed.stderr.splitlines()) == 1, completed.stderr
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_exits_2(self, budget):
+        completed = _run_cli([
+            "simulate", "--zones", "2", "--budget-w", budget,
+            "--home-hosts", "4", "--vms-per-host", "2",
+        ])
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.splitlines() == [
+            f"budget_w must be positive and finite, got {budget}"
+        ]
+        assert completed.stdout == ""
+
     @pytest.mark.parametrize("argv", [
         ["traces", "stats", "--file", "{tmp}/missing.csv"],
         ["traces", "stats", "--file", "{tmp}/no_traces.json"],

@@ -1,5 +1,7 @@
 """Farm configuration validation and derived quantities."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -66,6 +68,18 @@ class TestValidation:
     def test_growth_non_negative(self):
         with pytest.raises(ConfigError):
             FarmConfig(working_set_growth_mib_per_h=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
+    @pytest.mark.parametrize("field_name", [
+        "vm_memory_mib",
+        "host_capacity_mib",
+        "planning_interval_s",
+        "working_set_growth_mib_per_h",
+        "idle_page_request_gap_s",
+    ])
+    def test_non_finite_floats_rejected(self, field_name, value):
+        with pytest.raises(ConfigError, match="finite"):
+            FarmConfig(**{field_name: value}, memory_server_present=False)
 
 
 class TestOverrides:

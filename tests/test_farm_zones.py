@@ -10,6 +10,8 @@ the aggregate report, and :func:`validate_simulation` holding on every
 shard.
 """
 
+import math
+
 import pytest
 
 from repro.core import FULL_TO_PARTIAL, policy_by_name
@@ -122,6 +124,14 @@ class TestPartition:
             GlobalController(
                 small_config(), FULL_TO_PARTIAL, DayType.WEEKDAY,
                 budget_w=0.0,
+            )
+
+    @pytest.mark.parametrize("budget_w", [math.nan, math.inf], ids=str)
+    def test_non_finite_budget_rejected(self, budget_w):
+        with pytest.raises(ConfigError, match="finite"):
+            GlobalController(
+                small_config(), FULL_TO_PARTIAL, DayType.WEEKDAY,
+                zones=2, budget_w=budget_w,
             )
 
 

@@ -1,6 +1,7 @@
 """Unit tests for :mod:`repro.faults` and its threading through layers."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -78,6 +79,14 @@ class TestFaultProfile:
             FaultProfile(page_timeout_retries_max=0)
         with pytest.raises(ConfigError):
             FaultProfile(page_retry_mib=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
+    @pytest.mark.parametrize(
+        "field_name", ["wake_backoff_base_s", "page_retry_mib"]
+    )
+    def test_non_finite_knobs_rejected(self, field_name, value):
+        with pytest.raises(ConfigError, match="finite"):
+            FaultProfile(**{field_name: value})
 
     def test_scaled_multiplies_rates_and_caps_at_one(self):
         heavy = FaultProfile.heavy()
