@@ -11,8 +11,9 @@ packs check one module at a time:
   unsorted-set iteration in result-producing packages;
 * ``UNIT1xx`` — ``_s`` / ``_mib`` / ``_mib_per_s`` / ``_w`` / ``_j``
   suffix families must not mix without a :mod:`repro.units` helper;
-* ``SM1xx`` — power/activity/residency assignments obey the declared
-  transition tables;
+* ``SM1xx`` — power/activity/residency assignments name a declared
+  member of the attribute's own enum (the ``Host.power_state`` setter
+  checks each power transition at run time);
 * ``API1xx`` — every ``__all__`` entry resolves and every public
   ``__init__`` symbol is exported exactly once.
 
@@ -22,7 +23,7 @@ the call graph (``FLOW1xx``), index-write encapsulation (``ENC2xx``),
 and trace purity (``TRC3xx``).
 
 ``python -m repro.checkers [paths]`` runs all seven packs in one pass
-that parses each file once; suppress one finding with a
+that parses and walks each file once; suppress one finding with a
 ``# repro: noqa[RULE]`` comment on the flagged line, or a whole file
 with ``# repro: noqa-file[RULE]``.
 """

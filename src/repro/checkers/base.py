@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     Iterable,
     Iterator,
@@ -38,12 +40,30 @@ class ModuleContext:
     when it can be derived from the file path, else ``None`` (synthetic
     sources in tests).  Rules that scope themselves to specific packages
     treat ``None`` as in-scope so test fixtures exercise them directly.
+
+    Rules read the tree's nodes through :meth:`nodes`, so the tree is
+    walked once per file however many rules run.
     """
 
     path: str
-    source: str
     tree: ast.Module
     module_name: Optional[str] = None
+
+    @functools.cached_property
+    def _by_type(self) -> Dict[Type[ast.AST], List[ast.AST]]:
+        index: Dict[Type[ast.AST], List[ast.AST]] = {}
+        for node in ast.walk(self.tree):
+            index.setdefault(type(node), []).append(node)
+        return index
+
+    def nodes(self, *node_types: Type[ast.AST]) -> Iterator[Any]:
+        """Every node of the given exact classes, one class after another.
+
+        Classes match exactly (``ast.Call``, never ``ast.expr``); within
+        a class nodes come in ``ast.walk`` order.
+        """
+        for node_type in node_types:
+            yield from self._by_type.get(node_type, ())
 
     def finding(
         self,

@@ -1,8 +1,10 @@
 """The one lint pass: parse each file once, run every rule, suppress once.
 
-For each file the driver reads, parses and tokenizes the source once.
-The module rules (DET, UNIT, SM, API) check that tree, and the file's
-flow summary is built from the same tree.  The summaries are then linked
+For each file the driver reads and parses the source once, and
+tokenizes it only when it carries a ``noqa`` marker.  The module rules
+(DET, UNIT, SM, API) check that tree through one shared walk
+(:meth:`~repro.checkers.base.ModuleContext.nodes`), and the file's flow
+summary is built from the same tree.  The summaries are then linked
 into one :class:`~repro.checkers.flow.project.ProjectContext`, the
 project rules (FLOW, ENC, TRC) check it, and the ``noqa`` suppressions
 and the ``(path, line, col, rule)`` dedupe apply once to every finding.
@@ -109,9 +111,7 @@ def _lint(
             )
             continue
         noqa[path] = collect_suppressions(source)
-        ctx = ModuleContext(
-            path=path, source=source, tree=tree, module_name=module_name
-        )
+        ctx = ModuleContext(path=path, tree=tree, module_name=module_name)
         for rule in module_rules:
             raw.extend(rule.check(ctx))
         summaries.append(summarize_tree(tree, path, module_name))

@@ -843,7 +843,7 @@ class ProjectContext:
         return False
 
     # ------------------------------------------------------------------
-    # Guard classification (for FLOW103 / TRC302)
+    # Guard classification (for FLOW103)
     # ------------------------------------------------------------------
 
     def tracer_guard_lines(self, func_key: FuncKey) -> Dict[int, Any]:

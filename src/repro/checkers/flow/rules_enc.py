@@ -1,9 +1,10 @@
 """ENC2xx: incremental-index encapsulation, proven project-wide.
 
 The simulator keeps O(1) incremental indexes (powered-host counters,
-partial-VM sets, shadow capacity arrays, VM residency fields) that must
-only drift through their *sanctioned mutators* — the methods whose
-paired bookkeeping keeps the index consistent with ground truth.  The
+partial-VM sets, shadow capacity arrays) and the state that feeds them
+(VM residency and activity, host power state) that must only drift
+through their *sanctioned mutators* — the methods whose paired
+bookkeeping keeps the index consistent with ground truth.  The
 table below is the single source of truth: every entry names the class,
 the attributes backing the index, the mutators allowed to write them,
 and why that set is what it is.
@@ -104,6 +105,20 @@ INDEX_SPECS: Tuple[IndexSpec, ...] = (
         ),
     ),
     IndexSpec(
+        cls="repro.cluster.host.Host",
+        attrs=frozenset({"_power_state"}),
+        mutators=frozenset(
+            {"Host.__init__", "Host.power_state", "Host.start_asleep"}
+        ),
+        reason=(
+            "the power state moves only through the property setter, "
+            "which checks every edge against the declared table and "
+            "fires the cluster's powered-count listener; start_asleep "
+            "is the one setup escape (the setter's def carries the "
+            "property's qual)"
+        ),
+    ),
+    IndexSpec(
         cls="repro.core.placement._ShadowCapacity",
         attrs=frozenset({"free", "effective", "woken", "powered", "rooms"}),
         leakable=frozenset(
@@ -148,6 +163,21 @@ INDEX_SPECS: Tuple[IndexSpec, ...] = (
             "residency/location fields drive every index above them; "
             "the named transition methods validate invariants before "
             "mutating, so direct writes bypass those checks"
+        ),
+    ),
+    IndexSpec(
+        cls="repro.vm.machine.VirtualMachine",
+        attrs=frozenset({"activity"}),
+        mutators=frozenset(
+            {
+                "VirtualMachine.__init__",
+                "VirtualMachine.apply_activity_edge",
+                "VirtualMachine.set_activity",
+            }
+        ),
+        reason=(
+            "activity flips must keep the idle-streak count in step, "
+            "which only the trace-driven setters do"
         ),
     ),
 )

@@ -5,8 +5,9 @@ FLOW101  every reachable draw attributes to a named stream (or a seeded
          entry-point parameter no project code binds).
 FLOW102  fault-injection draws are short-circuited by a zero-probability
          guard before the stream is touched.
-FLOW103  no stochastic work hides under a tracer-enabled guard unless
-         the ``else`` branch mirrors the same call.
+FLOW103  no stochastic work hides under a tracer-enabled guard: a
+         direct draw there is always flagged, a call to a function that
+         draws only when the ``else`` branch does not mirror it.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class UnguardedFaultDraw(ProjectRule):
 @register
 class DrawUnderTraceGuard(ProjectRule):
     rule_id = "FLOW103"
-    summary = "stochastic work under a tracer guard must be mirrored"
+    summary = "stochastic work under a tracer guard must be hoisted or mirrored"
     hint = (
         "hoist the draw out of the `if tracer.enabled:` block, or call "
         "the same function in the else branch so both paths consume "
@@ -97,6 +98,18 @@ class DrawUnderTraceGuard(ProjectRule):
     )
 
     def check(self, project: ProjectContext) -> Iterator[Finding]:
+        for draw in project.draws:
+            guard_line = draw.call.tguard
+            if not _in_flow_scope(draw.func[0]) or guard_line is None:
+                continue
+            if guard_line not in project.tracer_guard_lines(draw.func):
+                continue
+            yield self.finding(
+                project, draw.func, draw.call.line, draw.call.col,
+                f".{draw.method}() draw sits inside the tracer guard at "
+                f"line {guard_line}; tracing would shift every subsequent "
+                "draw",
+            )
         for func_key, func in project.iter_functions():
             if not _in_flow_scope(func_key[0]):
                 continue

@@ -3,12 +3,12 @@
 The tracer/metrics layer exists so a traced run and an untraced run are
 byte-identical.  That holds only if simulation code treats the tracer as
 a sink: emission calls return nothing the simulation consumes, no draw
-happens under a tracing guard, and tracer-side state (recorded events,
-metric values, span clocks) never flows back into simulation variables.
+happens under a tracing guard (FLOW103's job), and tracer-side state
+(recorded events, metric values, span clocks) never flows back into
+simulation variables.
 
 TRC301  a tracer emission call whose result feeds an expression or
         assignment (emission must be a statement or a ``with`` item).
-TRC302  a stochastic draw inside a tracer-enabled guarded block.
 TRC303  simulation code reading tracer state (``.events``, ``.metrics``,
         ``.open_span_count``, ``now_s()``).
 """
@@ -60,31 +60,6 @@ class EmissionFeedsValue(ProjectRule):
                 project, site.func, site.call.line, site.call.col,
                 f".{site.method}() result flows into an expression; "
                 "emission must be observation-only",
-            )
-
-
-@register
-class DrawUnderGuard(ProjectRule):
-    rule_id = "TRC302"
-    summary = "no stochastic draw inside a tracer-enabled block"
-    hint = (
-        "hoist the draw above the guard so traced and untraced runs "
-        "consume identical stream state"
-    )
-
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
-        for draw in project.draws:
-            if not _in_trc_scope(draw.func[0]):
-                continue
-            if draw.call.tguard is None:
-                continue
-            if draw.call.tguard not in project.tracer_guard_lines(draw.func):
-                continue
-            yield self.finding(
-                project, draw.func, draw.call.line, draw.call.col,
-                f".{draw.method}() draw sits inside the tracer guard at "
-                f"line {draw.call.tguard}; tracing would shift every "
-                "subsequent draw",
             )
 
 

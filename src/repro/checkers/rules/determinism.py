@@ -92,32 +92,31 @@ class ModuleLevelRandomRule(_DeterminismRule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not self.in_scope(ctx):
             return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                dotted = dotted_name(node.func)
-                if (
-                    dotted is not None
-                    and dotted.startswith("random.")
-                    and dotted.count(".") == 1
-                    and dotted.split(".")[1] not in _ALLOWED_RANDOM_ATTRS
-                ):
-                    yield ctx.finding(
-                        node,
-                        self.rule_id,
-                        f"call to {dotted}() uses the global random stream",
-                        self.hint,
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "random" and node.level == 0:
-                    for alias in node.names:
-                        if alias.name not in _ALLOWED_RANDOM_ATTRS:
-                            yield ctx.finding(
-                                node,
-                                self.rule_id,
-                                f"'from random import {alias.name}' exposes "
-                                "the global random stream",
-                                self.hint,
-                            )
+        for node in ctx.nodes(ast.Call):
+            dotted = dotted_name(node.func)
+            if (
+                dotted is not None
+                and dotted.startswith("random.")
+                and dotted.count(".") == 1
+                and dotted.split(".")[1] not in _ALLOWED_RANDOM_ATTRS
+            ):
+                yield ctx.finding(
+                    node,
+                    self.rule_id,
+                    f"call to {dotted}() uses the global random stream",
+                    self.hint,
+                )
+        for node in ctx.nodes(ast.ImportFrom):
+            if node.module == "random" and node.level == 0:
+                for alias in node.names:
+                    if alias.name not in _ALLOWED_RANDOM_ATTRS:
+                        yield ctx.finding(
+                            node,
+                            self.rule_id,
+                            f"'from random import {alias.name}' exposes "
+                            "the global random stream",
+                            self.hint,
+                        )
 
 
 @register
@@ -131,9 +130,7 @@ class UnseededRandomRule(_DeterminismRule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not self.in_scope(ctx):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             dotted = dotted_name(node.func)
             if dotted in ("random.Random", "random.SystemRandom", "SystemRandom"):
                 if dotted.endswith("SystemRandom"):
@@ -163,9 +160,7 @@ class WallClockRule(_DeterminismRule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not self.in_scope(ctx):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             dotted = dotted_name(node.func)
             if dotted in _WALL_CLOCK_CALLS:
                 yield ctx.finding(
@@ -221,35 +216,35 @@ class SetIterationRule(_DeterminismRule):
         # Set annotations anywhere in the module; a deliberately simple,
         # scope-free approximation.
         known_sets: Set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assign):
-                if _is_set_expr(node.value, known_sets=set()):
-                    for target in node.targets:
-                        dotted = dotted_name(target)
-                        if dotted is not None:
-                            known_sets.add(dotted)
-            elif isinstance(node, ast.AnnAssign):
-                bound_to_set = node.value is not None and _is_set_expr(
-                    node.value, known_sets=set()
-                )
-                if bound_to_set or _is_set_annotation(node.annotation):
-                    dotted = dotted_name(node.target)
+        for node in ctx.nodes(ast.Assign):
+            if _is_set_expr(node.value, known_sets=set()):
+                for target in node.targets:
+                    dotted = dotted_name(target)
                     if dotted is not None:
                         known_sets.add(dotted)
-            elif isinstance(node, ast.arg) and node.annotation is not None:
-                if _is_set_annotation(node.annotation):
-                    known_sets.add(node.arg)
-        for node in ast.walk(ctx.tree):
-            iters = []
-            if isinstance(node, ast.For):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-                iters.extend(gen.iter for gen in node.generators)
-            for it in iters:
-                if _is_set_expr(it, known_sets):
-                    yield ctx.finding(
-                        it,
-                        self.rule_id,
-                        "iterating a set yields a hash-dependent order",
-                        self.hint,
-                    )
+        for node in ctx.nodes(ast.AnnAssign):
+            bound_to_set = node.value is not None and _is_set_expr(
+                node.value, known_sets=set()
+            )
+            if bound_to_set or _is_set_annotation(node.annotation):
+                dotted = dotted_name(node.target)
+                if dotted is not None:
+                    known_sets.add(dotted)
+        for node in ctx.nodes(ast.arg):
+            if node.annotation is not None and _is_set_annotation(
+                node.annotation
+            ):
+                known_sets.add(node.arg)
+        iters = [node.iter for node in ctx.nodes(ast.For)]
+        for node in ctx.nodes(
+            ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp
+        ):
+            iters.extend(gen.iter for gen in node.generators)
+        for it in iters:
+            if _is_set_expr(it, known_sets):
+                yield ctx.finding(
+                    it,
+                    self.rule_id,
+                    "iterating a set yields a hash-dependent order",
+                    self.hint,
+                )

@@ -1,30 +1,27 @@
-"""State-machine rules (``SM1xx``).
+"""State-machine rule (``SM102``).
 
 The cluster model declares three state machines: VM activity
 (:class:`repro.vm.state.VmActivity`), VM residency
 (:class:`repro.vm.state.Residency`), and host power
-(:class:`repro.cluster.power.PowerState`, with a legal-transition
-table).  These rules extract attribute assignments like
-``host.power_state = PowerState.SLEEPING`` and validate them statically:
-members must exist and belong to the right enum, power transitions must
-be guarded by :func:`repro.cluster.power.check_transition`, guards must
-agree with the value then assigned, and VM activity/residency may only
-be mutated by the :class:`~repro.vm.machine.VirtualMachine` methods that
-maintain the documented invariants.
+(:class:`repro.cluster.power.PowerState`).  SM102 extracts attribute
+assignments like ``host.power_state = PowerState.SLEEPING`` and checks
+that the member exists and belongs to the attribute's own enum — a typo
+no run-time check catches before the line runs.
 
-The legal-transition table is imported from the defining module, not
-duplicated here, so the linter can never drift from the runtime check.
+The rest of each machine is guarded where it changes: the
+``Host.power_state`` setter checks every power transition against the
+declared table, and ENC201 names the only methods that may write VM
+activity, VM residency and the host's power state.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from repro.checkers.base import ModuleContext, Rule, register
 from repro.checkers.findings import Finding
-from repro.checkers.rules.determinism import dotted_name
-from repro.cluster.power import _LEGAL_TRANSITIONS, PowerState
+from repro.cluster.power import PowerState
 from repro.vm.state import Residency, VmActivity
 
 #: attribute name -> (enum class name, member names)
@@ -33,16 +30,6 @@ _STATE_ATTRS: Dict[str, Tuple[str, FrozenSet[str]]] = {
     "activity": ("VmActivity", frozenset(m.name for m in VmActivity)),
     "residency": ("Residency", frozenset(m.name for m in Residency)),
 }
-
-#: Legal power transitions by member name, from the runtime table.
-_POWER_TABLE: Dict[str, FrozenSet[str]] = {
-    src.name: frozenset(dst.name for dst in dsts)
-    for src, dsts in _LEGAL_TRANSITIONS.items()
-}
-
-#: Modules allowed to assign VM activity/residency directly: the state
-#: owner itself (machine.py maintains the documented invariants).
-_VM_STATE_OWNERS = ("repro.vm.machine",)
 
 
 def _enum_literal(node: ast.expr) -> Optional[Tuple[str, str]]:
@@ -56,38 +43,6 @@ def _enum_literal(node: ast.expr) -> Optional[Tuple[str, str]]:
     return None
 
 
-def _state_attr_target(node: ast.expr) -> Optional[str]:
-    """The state-machine attribute name a target assigns, if any."""
-    if isinstance(node, ast.Attribute) and node.attr in _STATE_ATTRS:
-        return node.attr
-    return None
-
-
-def _functions(tree: ast.Module) -> Iterator[ast.AST]:
-    """Every function body plus the module itself as a pseudo-scope."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _scope_statements(scope: ast.AST) -> List[ast.stmt]:
-    """Statements of a scope, without descending into nested functions."""
-    out: List[ast.stmt] = []
-    stack = list(getattr(scope, "body", []))
-    while stack:
-        stmt = stack.pop(0)
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        out.append(stmt)
-        for field in ("body", "orelse", "finalbody"):
-            stack.extend(getattr(stmt, field, []))
-        for handler in getattr(stmt, "handlers", []):
-            stack.extend(handler.body)
-    out.sort(key=lambda s: (s.lineno, s.col_offset))
-    return out
-
-
 @register
 class UnknownStateMemberRule(Rule):
     """Typo catch: the assigned member must exist on the right enum."""
@@ -97,9 +52,7 @@ class UnknownStateMemberRule(Rule):
     hint = "assign a declared member of the attribute's own state enum"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                continue
+        for node in ctx.nodes(ast.Assign, ast.AnnAssign):
             targets = (
                 node.targets if isinstance(node, ast.Assign) else [node.target]
             )
@@ -111,15 +64,17 @@ class UnknownStateMemberRule(Rule):
                 continue
             enum_name, member = literal
             for target in targets:
-                attr = _state_attr_target(target)
-                if attr is None:
+                if not (
+                    isinstance(target, ast.Attribute)
+                    and target.attr in _STATE_ATTRS
+                ):
                     continue
-                expected_enum, members = _STATE_ATTRS[attr]
+                expected_enum, members = _STATE_ATTRS[target.attr]
                 if enum_name != expected_enum:
                     yield ctx.finding(
                         node,
                         self.rule_id,
-                        f".{attr} assigned a {enum_name} member "
+                        f".{target.attr} assigned a {enum_name} member "
                         f"(expected {expected_enum})",
                         self.hint,
                     )
@@ -128,150 +83,5 @@ class UnknownStateMemberRule(Rule):
                         node,
                         self.rule_id,
                         f"{enum_name}.{member} is not a declared member",
-                        self.hint,
-                    )
-
-
-@register
-class UnguardedPowerAssignRule(Rule):
-    """Power mutations must run the declared transition check first."""
-
-    rule_id = "SM101"
-    summary = "power_state assigned without a preceding check_transition"
-    hint = (
-        "call check_transition(current, target) first, or use the "
-        "Host begin_/complete_ methods; __init__ may set the initial state"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for scope in _functions(ctx.tree):
-            if (
-                isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and scope.name == "__init__"
-            ):
-                continue  # initial state, not a transition
-            statements = _scope_statements(scope)
-            seen_check = False
-            for stmt in statements:
-                for call in ast.walk(stmt):
-                    if isinstance(call, ast.Call):
-                        dotted = dotted_name(call.func)
-                        if dotted is not None and dotted.rsplit(".", 1)[
-                            -1
-                        ] == "check_transition":
-                            seen_check = True
-                if isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if _state_attr_target(target) == "power_state":
-                            if not seen_check:
-                                yield ctx.finding(
-                                    stmt,
-                                    self.rule_id,
-                                    ".power_state assigned without "
-                                    "check_transition in the same scope",
-                                    self.hint,
-                                )
-
-
-@register
-class IllegalTransitionRule(Rule):
-    """Statically-visible transitions must be in the declared table."""
-
-    rule_id = "SM103"
-    summary = "declared-table violation in a power transition"
-    hint = "consult _LEGAL_TRANSITIONS in repro.cluster.power"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for scope in _functions(ctx.tree):
-            statements = _scope_statements(scope)
-            guard_target: Optional[str] = None
-            for stmt in statements:
-                for call in ast.walk(stmt):
-                    if not isinstance(call, ast.Call):
-                        continue
-                    dotted = dotted_name(call.func)
-                    if (
-                        dotted is None
-                        or dotted.rsplit(".", 1)[-1] != "check_transition"
-                        or len(call.args) != 2
-                    ):
-                        continue
-                    current, target = call.args
-                    current_lit = _enum_literal(current)
-                    target_lit = _enum_literal(target)
-                    if target_lit is not None and target_lit[0] == "PowerState":
-                        guard_target = target_lit[1]
-                        if target_lit[1] not in _POWER_TABLE:
-                            continue  # SM102 territory (unknown member)
-                    if (
-                        current_lit is not None
-                        and target_lit is not None
-                        and current_lit[0] == target_lit[0] == "PowerState"
-                        and current_lit[1] in _POWER_TABLE
-                        and target_lit[1]
-                        not in _POWER_TABLE[current_lit[1]]
-                    ):
-                        yield ctx.finding(
-                            call,
-                            self.rule_id,
-                            f"transition {current_lit[1]} -> {target_lit[1]} "
-                            "is not in the declared table",
-                            self.hint,
-                        )
-                if isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if _state_attr_target(target) != "power_state":
-                            continue
-                        literal = _enum_literal(stmt.value)
-                        if (
-                            literal is not None
-                            and literal[0] == "PowerState"
-                            and guard_target is not None
-                            and literal[1] != guard_target
-                            and literal[1] in _POWER_TABLE
-                        ):
-                            yield ctx.finding(
-                                stmt,
-                                self.rule_id,
-                                f"check_transition guards a move to "
-                                f"{guard_target} but {literal[1]} is "
-                                "assigned",
-                                self.hint,
-                            )
-                        guard_target = None
-
-
-@register
-class ForeignVmStateMutationRule(Rule):
-    """Only machine.py may poke VM activity/residency directly."""
-
-    rule_id = "SM104"
-    summary = "VM activity/residency mutated outside repro.vm.machine"
-    hint = (
-        "use VirtualMachine.set_activity()/become_partial()/reintegrate() "
-        "or the Host conversion methods so counts stay consistent"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.module_name in _VM_STATE_OWNERS:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                attr = _state_attr_target(target)
-                if attr in ("activity", "residency"):
-                    # self.activity inside a class defining its own state
-                    # machine is that machine's business, not a foreign
-                    # mutation; only flag dotted receivers such as
-                    # ``vm.activity``.
-                    receiver = target.value  # type: ignore[union-attr]
-                    if isinstance(receiver, ast.Name) and receiver.id == "self":
-                        continue
-                    yield ctx.finding(
-                        node,
-                        self.rule_id,
-                        f"direct .{attr} mutation from outside the owning "
-                        "class",
                         self.hint,
                     )

@@ -185,36 +185,31 @@ class MixedArithmeticRule(_UnitRule):
         if not self.in_scope(ctx):
             return
         infer = self._inference(ctx)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.Add, ast.Sub)
+        for node in ctx.nodes(ast.BinOp):
+            if not isinstance(node.op, (ast.Add, ast.Sub)):
+                continue
+            left = infer.family(node.left)
+            right = infer.family(node.right)
+            if left is not None and right is not None and left != right:
+                yield ctx.finding(
+                    node,
+                    self.rule_id,
+                    f"adds/subtracts {left} and {right}",
+                    self.hint,
+                )
+        for node in ctx.nodes(ast.Compare):
+            operands = [node.left] + list(node.comparators)
+            families = [infer.family(op) for op in operands]
+            for (a, fam_a), (b, fam_b) in zip(
+                zip(operands, families), zip(operands[1:], families[1:])
             ):
-                left = infer.family(node.left)
-                right = infer.family(node.right)
-                if left is not None and right is not None and left != right:
+                if fam_a is not None and fam_b is not None and fam_a != fam_b:
                     yield ctx.finding(
                         node,
                         self.rule_id,
-                        f"adds/subtracts {left} and {right}",
+                        f"compares {fam_a} with {fam_b}",
                         self.hint,
                     )
-            elif isinstance(node, ast.Compare):
-                operands = [node.left] + list(node.comparators)
-                families = [infer.family(op) for op in operands]
-                for (a, fam_a), (b, fam_b) in zip(
-                    zip(operands, families), zip(operands[1:], families[1:])
-                ):
-                    if (
-                        fam_a is not None
-                        and fam_b is not None
-                        and fam_a != fam_b
-                    ):
-                        yield ctx.finding(
-                            node,
-                            self.rule_id,
-                            f"compares {fam_a} with {fam_b}",
-                            self.hint,
-                        )
 
 
 @register
@@ -229,7 +224,7 @@ class MixedAssignmentRule(_UnitRule):
         if not self.in_scope(ctx):
             return
         infer = self._inference(ctx)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes(ast.Assign, ast.AnnAssign, ast.AugAssign):
             pairs = []  # (target, value)
             if isinstance(node, ast.Assign):
                 pairs = [(t, node.value) for t in node.targets]
@@ -272,9 +267,7 @@ class MixedCallArgumentRule(_UnitRule):
         signatures = dict(_collect_signatures(ctx.tree))
         for name, (param_families, _ret) in _CONVERSIONS.items():
             signatures.setdefault(name, param_families)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             # Keyword arguments carry the parameter name directly.
             for kw in node.keywords:
                 if kw.arg is None:

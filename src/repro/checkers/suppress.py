@@ -19,7 +19,8 @@ line, conventionally near the top)::
     # repro: noqa-file
 
 The bare form suppresses every rule in the file; use it only for
-generated or vendored sources.  One tokenize pass collects both forms.
+generated or vendored sources.  One tokenize pass collects both forms,
+and only a file that mentions ``noqa`` is tokenized.
 """
 
 from __future__ import annotations
@@ -58,10 +59,13 @@ def collect_suppressions(source: str) -> Suppressions:
     The line map sends a line number to its suppressed rule ids
     (:data:`ALL_RULES` for a bare ``noqa``); the file set is the union of
     every ``noqa-file`` list (:data:`ALL_RULES` for the bare form, empty
-    when the marker is absent).
+    when the marker is absent).  Both markers contain ``noqa``, so a
+    source without that text is not tokenized at all.
     """
     lines: Dict[int, FrozenSet[str]] = {}
     whole_file: FrozenSet[str] = frozenset()
+    if "noqa" not in source:
+        return lines, whole_file
     reader = io.StringIO(source).readline
     try:
         for tok in tokenize.generate_tokens(reader):

@@ -273,16 +273,35 @@ class Host:
 
     @power_state.setter
     def power_state(self, state: PowerState) -> None:
-        """Set the power state, notifying the cluster's index listener.
+        """Take one edge of the power machine, notifying the cluster's
+        index listener.
 
-        Transition legality is checked by the ``begin_*``/``complete_*``
-        methods, not here — direct assignment stays available for tests
-        and setup code that place a host into an arbitrary state.
+        This is the one checked transition: an edge outside the declared
+        table raises :class:`PowerStateError` and leaves the state as it
+        was.  Setup that needs a sleeping host uses :meth:`start_asleep`.
         """
         previous = self._power_state
+        check_transition(previous, state)
         self._power_state = state
-        if self._power_listener is not None and state is not previous:
+        if self._power_listener is not None:
             self._power_listener(self, previous, state)
+
+    def start_asleep(self) -> None:
+        """Setup only: put a powered, empty host straight to sleep.
+
+        Consolidation hosts begin asleep (§3.1).  POWERED -> SLEEPING is
+        not an edge of the machine, so no transition is checked; the
+        listener still fires so the cluster's powered counts follow.
+        """
+        if self._power_state is not PowerState.POWERED or self._vms:
+            raise PowerStateError(
+                f"host {self.host_id} is {self._power_state.value} with "
+                f"{len(self._vms)} VM(s); only a powered, empty host can "
+                f"start asleep"
+            )
+        self._power_state = PowerState.SLEEPING
+        if self._power_listener is not None:
+            self._power_listener(self, PowerState.POWERED, PowerState.SLEEPING)
 
     def set_power_listener(self, listener) -> None:
         """Register ``listener(host, old_state, new_state)`` for power
@@ -305,20 +324,16 @@ class Host:
                 f"host {self.host_id} still runs {len(self._vms)} VM(s); "
                 f"cannot suspend"
             )
-        check_transition(self.power_state, PowerState.SUSPENDING)
         self.power_state = PowerState.SUSPENDING
 
     def complete_suspend(self) -> None:
-        check_transition(self.power_state, PowerState.SLEEPING)
         self.power_state = PowerState.SLEEPING
 
     def begin_resume(self) -> None:
         """Start resuming (triggered by Wake-on-LAN from the manager)."""
-        check_transition(self.power_state, PowerState.RESUMING)
         self.power_state = PowerState.RESUMING
 
     def complete_resume(self) -> None:
-        check_transition(self.power_state, PowerState.POWERED)
         self.power_state = PowerState.POWERED
 
     def fail_resume(self) -> None:
@@ -327,7 +342,6 @@ class Host:
         The attempt paid resume power for its full duration; the caller
         owns retry scheduling and backoff.
         """
-        check_transition(self.power_state, PowerState.SLEEPING)
         self.power_state = PowerState.SLEEPING
 
     # -- memory-server health (fault injection) --------------------------

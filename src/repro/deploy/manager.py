@@ -21,7 +21,6 @@ import random
 from typing import Dict, List, Optional
 
 from repro.cluster.host import Host
-from repro.cluster.power import PowerState
 from repro.cluster.topology import Cluster
 from repro.core.manager import ClusterManager
 from repro.core.plan import ActivationAction, MigrationMode
@@ -114,7 +113,7 @@ class ClusterManagerDaemon:
         self.inventory = _Inventory(shadow)
         # Consolidation hosts sleep by default (§3.1).
         for host_id in consolidation_host_ids:
-            shadow.host(host_id).power_state = PowerState.SLEEPING
+            shadow.host(host_id).start_asleep()
         self.decisions = ClusterManager(
             cluster=shadow,
             policy=policy,

@@ -157,7 +157,7 @@ class FarmSimulation:
         # Consolidation hosts sleep by default (§3.1); set before any
         # energy accounting begins.
         for host in self.cluster.consolidation_hosts:
-            host.power_state = PowerState.SLEEPING
+            host.start_asleep()
 
         #: Last power-state value seen per host (tracing only); baseline
         #: includes the consolidation hosts' default SLEEPING state.

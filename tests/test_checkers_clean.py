@@ -83,7 +83,6 @@ class TestZoneScopeCoverage:
             module_name="repro.farm.zones",
             path="src/repro/farm/zones.py",
             tree=ast.parse(""),
-            source="",
         )
         assert ctx.in_packages(SIMULATION_PACKAGES)
 
@@ -130,7 +129,6 @@ class TestStrategyScopeCoverage:
                 module_name=module_name,
                 path=path,
                 tree=ast.parse(""),
-                source="",
             )
             assert ctx.in_packages(SIMULATION_PACKAGES), module_name
 
@@ -180,7 +178,6 @@ class TestEquivScopeCoverage:
                 module_name=module_name,
                 path=path,
                 tree=ast.parse(""),
-                source="",
             )
             assert ctx.in_packages(SIMULATION_PACKAGES), module_name
 

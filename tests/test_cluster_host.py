@@ -1,9 +1,12 @@
 """Host memory accounting, served images, and the power-state machine."""
 
+import itertools
+
 import pytest
 
 from repro.cluster import Host, HostRole, PowerState
-from repro.cluster.power import check_transition
+from repro.cluster import host as host_module
+from repro.cluster.power import _LEGAL_TRANSITIONS, check_transition
 from repro.errors import CapacityError, MigrationError, PowerStateError
 from repro.vm import VirtualMachine
 
@@ -14,6 +17,31 @@ def make_host(capacity_mib=12_288.0, role=HostRole.COMPUTE):
 
 def make_vm(vm_id=1, home=0, memory=4096.0):
     return VirtualMachine(vm_id, home, memory)
+
+
+#: Legal edges that bring a fresh (powered) host to each state.
+_PATH_TO = {
+    PowerState.POWERED: (),
+    PowerState.SUSPENDING: ("begin_suspend",),
+    PowerState.SLEEPING: ("begin_suspend", "complete_suspend"),
+    PowerState.RESUMING: ("begin_suspend", "complete_suspend", "begin_resume"),
+}
+
+
+def host_in(state):
+    """A fresh host brought to ``state`` by legal transitions."""
+    host = make_host()
+    for step in _PATH_TO[state]:
+        getattr(host, step)()
+    assert host.power_state is state
+    return host
+
+
+def listen(host):
+    """Attach a listener recording every power edge it is told about."""
+    calls = []
+    host.set_power_listener(lambda *edge: calls.append(edge))
+    return calls
 
 
 class TestPowerStateMachine:
@@ -40,6 +68,97 @@ class TestPowerStateMachine:
         assert not PowerState.POWERED.is_transitional
         assert PowerState.POWERED.can_run_vms
         assert not PowerState.SLEEPING.can_run_vms
+
+
+class TestPowerStateSetter:
+    """The ``power_state`` setter is the one checked transition."""
+
+    @pytest.mark.parametrize(
+        "current, target",
+        list(itertools.product(PowerState, repeat=2)),
+        ids=lambda state: state.value,
+    )
+    def test_every_pair(self, current, target):
+        host = host_in(current)
+        calls = listen(host)
+        if target in _LEGAL_TRANSITIONS[current]:
+            host.power_state = target
+            assert host.power_state is target
+            assert calls == [(host, current, target)]
+        else:
+            with pytest.raises(PowerStateError):
+                host.power_state = target
+            assert host.power_state is current
+            assert calls == []
+
+    def test_start_asleep_fires_listener_without_a_transition(
+        self, monkeypatch
+    ):
+        checked = []
+        monkeypatch.setattr(
+            host_module, "check_transition", lambda *edge: checked.append(edge)
+        )
+        host = make_host()
+        calls = listen(host)
+        host.start_asleep()
+        assert host.is_sleeping
+        assert calls == [(host, PowerState.POWERED, PowerState.SLEEPING)]
+        assert checked == []
+
+    def test_start_asleep_refuses_a_host_holding_a_vm(self):
+        host = make_host()
+        host.attach(make_vm())
+        calls = listen(host)
+        with pytest.raises(PowerStateError):
+            host.start_asleep()
+        assert host.is_powered
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "state",
+        [PowerState.SUSPENDING, PowerState.SLEEPING, PowerState.RESUMING],
+        ids=lambda state: state.value,
+    )
+    def test_start_asleep_refuses_a_host_not_powered(self, state):
+        host = host_in(state)
+        calls = listen(host)
+        with pytest.raises(PowerStateError):
+            host.start_asleep()
+        assert host.power_state is state
+        assert calls == []
+
+
+class TestPowerLintFixturesAtRunTime:
+    """Positive fixtures of the retired lint rules SM101 and SM103, run
+    against a real host: the setter rejects each.  SM103's third, the
+    literal POWERED -> SLEEPING check, is the first case of
+    ``TestPowerStateMachine.test_illegal_transitions``."""
+
+    def test_unguarded_assignment_raises(self):
+        # SM101's positive fixture.
+        def sleep(host):
+            host.power_state = PowerState.SLEEPING
+
+        host = make_host()
+        with pytest.raises(
+            PowerStateError, match="illegal power transition powered -> sleeping"
+        ):
+            sleep(host)
+        assert host.is_powered
+
+    def test_guard_assign_mismatch_raises(self):
+        # SM103's guard/assign mismatch: the guard passes, the assignment
+        # does not.
+        def suspend(host):
+            check_transition(host.power_state, PowerState.SUSPENDING)
+            host.power_state = PowerState.SLEEPING
+
+        host = make_host()
+        with pytest.raises(
+            PowerStateError, match="illegal power transition powered -> sleeping"
+        ):
+            suspend(host)
+        assert host.is_powered
 
 
 class TestHostPowerCycle:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, HostRole, PowerState
+from repro.cluster import Cluster, HostRole
 from repro.errors import ConfigError
 from repro.vm import VirtualMachine
 from repro.vm.state import Residency
@@ -42,7 +42,7 @@ class TestConstruction:
 class TestAggregates:
     def test_powered_counts(self):
         cluster = Cluster(2, 2, 1000.0)
-        cluster.host(3).power_state = PowerState.SLEEPING
+        cluster.host(3).start_asleep()
         assert cluster.powered_host_count() == 3
         assert cluster.powered_home_count() == 2
         assert cluster.powered_consolidation_count() == 1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.cluster import Cluster, PowerState
+from repro.cluster import Cluster
 from repro.core import (
     FULL_TO_PARTIAL,
     GreedyVacatePlanner,
@@ -130,14 +130,14 @@ class TestGreedyVacate:
 
     def test_powered_destinations_preferred_over_waking(self):
         cluster = build_cluster(homes=1, consolidation=2)
-        cluster.host(2).power_state = PowerState.SLEEPING
+        cluster.host(2).start_asleep()
         add_vm(cluster, 1, 0)
         plan = make_planner().plan(cluster)
         assert destination_ids(plan) == [1]
 
     def test_sleeping_hosts_woken_when_needed(self):
         cluster = build_cluster(homes=1, consolidation=1)
-        cluster.host(1).power_state = PowerState.SLEEPING
+        cluster.host(1).start_asleep()
         add_vm(cluster, 1, 0)
         plan = make_planner().plan(cluster)
         assert destination_ids(plan) == [1]

@@ -14,7 +14,13 @@ import ast
 import json
 import textwrap
 
-from repro.checkers import ProjectRule, all_rules, check_paths, rules_by_id
+from repro.checkers import (
+    ProjectRule,
+    all_rules,
+    check_paths,
+    check_source,
+    rules_by_id,
+)
 from repro.checkers.driver import read_source
 from repro.checkers.flow.project import ProjectContext
 from repro.checkers.flow.rules_enc import INDEX_SPECS
@@ -143,6 +149,45 @@ class TestFlowPack:
         found = rendered(run_rules(ctx, "FLOW103"))
         assert found == [("FLOW103", "src/repro/core/planner.py", 12)]
 
+    def test_flow103_direct_draw_under_tracer_guard(self):
+        # A direct draw under the guard is flagged even when the else
+        # branch makes the same draw: tracing still reorders the stream.
+        ctx = build_ctx(
+            {
+                "repro.obs.tracer": TRACER_MODULE,
+                "repro.core.engine": """
+                import random
+                from repro.obs.tracer import Tracer
+
+                class Engine:
+                    def __init__(self, tracer: Tracer, rng: random.Random):
+                        self.tracer = tracer
+                        self.rng = rng
+
+                    def bad(self):
+                        if self.tracer.enabled:
+                            jitter = self.rng.random()
+                            self.tracer.event("jitter", value=jitter)
+
+                    def mirrored(self):
+                        if self.tracer.enabled:
+                            self.rng.random()
+                        else:
+                            self.rng.random()
+
+                    def hoisted(self):
+                        jitter = self.rng.random()
+                        if self.tracer.enabled:
+                            self.tracer.event("jitter", value=jitter)
+                """,
+            }
+        )
+        found = rendered(run_rules(ctx, "FLOW103"))
+        assert found == [
+            ("FLOW103", "src/repro/core/engine.py", 12),
+            ("FLOW103", "src/repro/core/engine.py", 17),
+        ]
+
 
 class TestEncPack:
     def test_enc201_mutation_battery_real_modules(self):
@@ -170,6 +215,89 @@ class TestEncPack:
                     f"rogue write to {spec.cls}.{attr} not caught; "
                     f"got {found}"
                 )
+
+    def test_enc201_power_state_writers(self):
+        # The property setter's def carries the qual Host.power_state;
+        # with __init__ and start_asleep it is the only sanctioned writer.
+        ctx = build_ctx(
+            {
+                "repro.cluster.host": """
+                class Host:
+                    def __init__(self):
+                        self._power_state = "powered"
+
+                    @property
+                    def power_state(self):
+                        return self._power_state
+
+                    @power_state.setter
+                    def power_state(self, state):
+                        self._power_state = state
+
+                    def start_asleep(self):
+                        self._power_state = "sleeping"
+
+                    def force_sleep(self):
+                        self._power_state = "sleeping"
+
+                def rogue(h: Host):
+                    h._power_state = "powered"
+                """
+            }
+        )
+        found = rendered(run_rules(ctx, "ENC201"))
+        assert found == [
+            ("ENC201", "src/repro/cluster/host.py", 18),
+            ("ENC201", "src/repro/cluster/host.py", 21),
+        ]
+
+    def test_enc201_foreign_vm_activity_write(self):
+        # A free function setting a VM's activity skips the idle-streak
+        # bookkeeping of set_activity/apply_activity_edge.
+        [finding] = check_source(
+            textwrap.dedent(
+                """\
+                def activate(vm):
+                    vm.activity = VmActivity.ACTIVE
+                """
+            ),
+            module_name="repro.core.activation",
+        )
+        assert (finding.rule_id, finding.line) == ("ENC201", 2)
+
+    def test_enc201_vm_activity_methods_not_module(self):
+        # The sanctioned writers are methods; other code in the owner's
+        # module is flagged like code anywhere else.
+        ctx = build_ctx(
+            {
+                "repro.vm.machine": """
+                class VirtualMachine:
+                    def __init__(self):
+                        self.activity = "idle"
+
+                    def set_activity(self, activity):
+                        self.activity = activity
+
+                def activate(vm):
+                    vm.activity = "active"
+                """
+            }
+        )
+        found = rendered(run_rules(ctx, "ENC201"))
+        assert found == [("ENC201", "src/repro/vm/machine.py", 10)]
+
+    def test_enc201_own_activity_attribute_is_clean(self):
+        # Another class's own ``activity`` attribute is not the VM's.
+        source = """
+        class Session:
+            def set_activity(self, activity):
+                self.activity = activity
+
+            def reset(self):
+                self.activity = None
+        """
+        ctx = build_ctx({"repro.traces.session": source})
+        assert run_rules(ctx, "ENC201") == []
 
     def test_enc201_inplace_container_mutation(self):
         ctx = build_ctx(
@@ -248,29 +376,6 @@ class TestTrcPack:
         )
         found = rendered(run_rules(ctx, "TRC301"))
         assert found == [("TRC301", "src/repro/core/engine.py", 9)]
-
-    def test_trc302_draw_under_tracer_guard(self):
-        ctx = build_ctx(
-            {
-                "repro.obs.tracer": TRACER_MODULE,
-                "repro.core.engine": """
-                import random
-                from repro.obs.tracer import Tracer
-
-                class Engine:
-                    def __init__(self, tracer: Tracer, rng: random.Random):
-                        self.tracer = tracer
-                        self.rng = rng
-
-                    def bad(self):
-                        if self.tracer.enabled:
-                            jitter = self.rng.random()
-                            self.tracer.event("jitter", value=jitter)
-                """,
-            }
-        )
-        found = rendered(run_rules(ctx, "TRC302"))
-        assert found == [("TRC302", "src/repro/core/engine.py", 12)]
 
     def test_trc303_tracer_state_reads(self):
         ctx = build_ctx(

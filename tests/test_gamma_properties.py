@@ -27,7 +27,7 @@ from itertools import combinations
 
 import pytest
 
-from repro.cluster import Cluster, PowerState
+from repro.cluster import Cluster
 from repro.core.placement import _ShadowCapacity
 from repro.core.plan import MigrationMode
 from repro.errors import ConfigError
@@ -179,7 +179,7 @@ def _random_cluster(seed):
             cluster.host(home_id).attach(vm)
     for host in cluster.consolidation_hosts:
         if rng.random() < 0.3:
-            host.power_state = PowerState.SLEEPING
+            host.start_asleep()
             continue
         for _ in range(rng.randint(0, 3)):
             home_id = rng.randrange(homes)
