@@ -37,18 +37,17 @@ Source = Tuple[str, Optional[str], str]
 def module_name_for(path: str) -> Optional[str]:
     """Derive the dotted import path from a file path.
 
-    Walks the path components looking for the ``repro`` package root, so
-    both ``src/repro/farm/simulation.py`` and an absolute path to the
-    same file map to ``repro.farm.simulation``.  Returns ``None`` when
-    the file is not under a ``repro`` directory.
+    Anchors at the last ``repro`` directory in the path, so
+    ``src/repro/farm/simulation.py`` and an absolute path to the same
+    file map to ``repro.farm.simulation`` even when the checkout itself
+    sits under a directory named ``repro``.  Returns ``None`` when the
+    file is not under a ``repro`` directory.
     """
-    norm = os.path.normpath(path)
-    parts = norm.split(os.sep)
-    try:
-        start = parts.index("repro")
-    except ValueError:
+    parts = os.path.normpath(path).split(os.sep)
+    anchors = [i for i, part in enumerate(parts) if part == "repro"]
+    if not anchors:
         return None
-    dotted = parts[start:]
+    dotted = parts[anchors[-1]:]
     if dotted[-1].endswith(".py"):
         dotted[-1] = dotted[-1][: -len(".py")]
     if dotted[-1] == "__init__":

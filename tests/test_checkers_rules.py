@@ -84,6 +84,14 @@ class TestFramework:
         assert module_name_for("src/repro/vm/__init__.py") == "repro.vm"
         assert module_name_for("/somewhere/else.py") is None
 
+    def test_module_name_for_checkout_under_a_repro_dir(self):
+        # The package root is the last ``repro`` component, not the first.
+        assert (
+            module_name_for("/work/repro/src/repro/farm/week.py")
+            == "repro.farm.week"
+        )
+        assert module_name_for("repro/src/repro/__init__.py") == "repro"
+
     def test_noqa_specific_rule(self):
         src = "import random\nx = random.random()  # repro: noqa[DET101]\n"
         assert rule_ids(src) == []
@@ -498,6 +506,17 @@ class TestOnePass:
         assert set(project.modules) == {
             "repro.core.a", "repro.core.b", "repro.farm.c", "repro.farm.d"
         }
+
+    def test_checkout_under_a_repro_dir_keeps_package_scope(self, tmp_path):
+        # A checkout at .../repro/src/repro: the DET scope still sees
+        # repro.core.planted, so the planted global-stream call is found.
+        root = write_tree(
+            tmp_path / "repro" / "src",
+            {"core/planted.py": "import random\n\nx = random.random()\n"},
+        )
+        findings, project = check_paths([root])
+        assert [(f.rule_id, f.line) for f in findings] == [("DET101", 3)]
+        assert set(project.modules) == {"repro.core.planted"}
 
     def test_rules_mix_ids_from_both_kinds(self, tmp_path, capsys):
         root = write_tree(tmp_path, {"core/mixed.py": MIXED})
