@@ -9,7 +9,7 @@ evaluation sweeps out over worker processes with deterministic results.
 """
 
 from repro.farm.config import FarmConfig
-from repro.farm.metrics import FarmResult, DelaySample
+from repro.farm.metrics import FarmResult, DelayLog, DelaySample
 from repro.farm.planes import SURCHARGE_STATE, FarmAccountingLedger
 from repro.farm.runner import (
     RunOutcome,
@@ -47,6 +47,7 @@ __all__ = [
     "FarmConfig",
     "FarmResult",
     "DelaySample",
+    "DelayLog",
     "FarmAccountingLedger",
     "SURCHARGE_STATE",
     "FarmSimulation",

@@ -49,7 +49,7 @@ from repro.energy.report import EnergyReport, baseline_energy_joules
 from repro.errors import CapacityError, ConfigError, SimulationError
 from repro.farm.config import FarmConfig
 from repro.faults import CLEAN_WAKE, FaultInjector, FaultPlan, backoff_delays_s
-from repro.farm.metrics import DelaySample, FarmResult
+from repro.farm.metrics import FarmResult
 from repro.farm.planes import FarmAccountingLedger
 from repro.migration.scheduler import HostBusyScheduler
 from repro.migration.traffic import TrafficCategory
@@ -403,7 +403,7 @@ class FarmSimulation:
         active_count = self._active_count
         full = Residency.FULL
         already_full = ActivationAction.ALREADY_FULL.value
-        delays_append = self.result.delays.append
+        record_delay = self.result.delays.record
         uniform = self._jitter_rng.uniform
         schedule = self.sim.schedule
         on_activation = self._on_activation
@@ -417,14 +417,7 @@ class FarmSimulation:
                 active_count += 1
                 if vm.residency is full:
                     # Full VMs already hold all their resources (§5.5).
-                    delays_append(
-                        DelaySample(
-                            time_s=now,
-                            vm_id=vm_id,
-                            delay_s=0.0,
-                            action=already_full,
-                        )
-                    )
+                    record_delay(now, vm_id, 0.0, already_full)
                 else:
                     # Draw from the full (0, jitter_max] window.  The
                     # bounds must not be narrowed by a margin: with
@@ -596,13 +589,8 @@ class FarmSimulation:
             )
         else:
             completed = self._handle_wake_home_return_all(vm, now)
-        self.result.delays.append(
-            DelaySample(
-                time_s=now,
-                vm_id=vm_id,
-                delay_s=max(0.0, completed - now),
-                action=action.value,
-            )
+        self.result.delays.record(
+            now, vm_id, max(0.0, completed - now), action.value
         )
         self._flush_power()
 

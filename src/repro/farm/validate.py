@@ -113,7 +113,7 @@ def _check_metrics(simulation: FarmSimulation) -> None:
             f"expected {INTERVALS_PER_DAY} metric samples, got "
             f"{len(result.sample_times_s)}"
         )
-    if any(sample.delay_s < 0.0 for sample in result.delays):
+    if any(delay < 0.0 for delay in result.delays.delay_s):
         raise SimulationError("negative transition delay recorded")
     host_count = (
         simulation.config.home_hosts + simulation.config.consolidation_hosts

@@ -31,7 +31,9 @@ zone; per-zone managed/baseline energies sum *exactly* (same floats,
 same order) to the aggregate :class:`~repro.energy.report.EnergyReport`;
 migration/fault counters and the traffic ledger are field-wise sums;
 the per-interval time series are element-wise sums over shards that
-share the same 288 sampling instants.
+share the same 288 sampling instants; delay logs concatenate in zone
+order, column by column, each VM id renamed through its zone's
+local-to-global table (:meth:`ZonePartition.zone_vm_ids`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.core.strategies import PolicyLike
 from repro.energy.report import EnergyReport
 from repro.errors import ConfigError, SimulationError
 from repro.farm.config import FarmConfig
-from repro.farm.metrics import DelaySample, FarmResult, MigrationCounters
+from repro.farm.metrics import DelayLog, FarmResult, MigrationCounters
 from repro.farm.runner import RunOutcome, RunSpec, SweepRunner
 from repro.faults.model import FaultCounters
 from repro.migration.traffic import TrafficLedger
@@ -368,16 +370,9 @@ def _aggregate_results(
     traffic = TrafficLedger()
     for result in results:
         traffic.merge(result.traffic)
-    delays = [
-        DelaySample(
-            time_s=sample.time_s,
-            vm_id=partition.global_vm_id(zone, sample.vm_id),
-            delay_s=sample.delay_s,
-            action=sample.action,
-        )
-        for zone, result in ordered
-        for sample in result.delays
-    ]
+    delays = DelayLog()
+    for zone, result in ordered:
+        delays.extend(result.delays, partition.zone_vm_ids(zone))
     home_sleep_s: Dict[int, float] = {}
     for zone, result in ordered:
         for local_id, slept in result.home_sleep_s.items():

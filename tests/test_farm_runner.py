@@ -67,6 +67,17 @@ class TestRunSpec:
             outcome.result
         )
 
+    def test_delay_log_crosses_the_pool_compactly(self):
+        # Delay samples are most of a shard's pickled result; row objects
+        # cost 41 B per sample, the log's columns about 26 B.
+        spec = RunSpec(
+            small_config(vms_per_host=8), FULL_TO_PARTIAL, DayType.WEEKDAY, 3
+        )
+        delays = execute_run(spec).result.delays
+        wire = pickle.dumps(delays, pickle.DEFAULT_PROTOCOL)
+        assert len(delays) > 200
+        assert len(wire) <= 30 * len(delays)
+
     def test_trace_seed_matches_simulate_day(self):
         spec = RunSpec(small_config(), FULL_TO_PARTIAL, DayType.WEEKDAY, 5)
         outcome = execute_run(spec)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster import HostRole
 from repro.core import DEFAULT, FULL_TO_PARTIAL, NEW_HOME, ONLY_PARTIAL
-from repro.farm import FarmConfig, FarmSimulation
+from repro.farm import DelayLog, FarmConfig, FarmSimulation
 from repro.traces import DayType, TraceEnsemble, UserDayTrace
 from repro.units import INTERVALS_PER_DAY
 from repro.vm.state import Residency
@@ -76,7 +76,7 @@ class TestAllIdleDay:
     def test_no_transition_delays_when_nobody_activates(self):
         ensemble = ensemble_from_bits([[], [], [], []])
         _sim, result = run(tiny_config(), FULL_TO_PARTIAL, ensemble)
-        assert result.delays == []
+        assert result.delays == DelayLog()
 
     def test_min_powered_hosts_is_one(self):
         ensemble = ensemble_from_bits([[], [], [], []])

@@ -54,10 +54,6 @@ class TestValidator:
             validate_simulation(finished_simulation)
 
     def test_catches_negative_delay(self, finished_simulation):
-        from repro.farm.metrics import DelaySample
-
-        finished_simulation.result.delays.append(
-            DelaySample(time_s=1.0, vm_id=0, delay_s=-1.0, action="x")
-        )
+        finished_simulation.result.delays.record(1.0, 0, -1.0, "x")
         with pytest.raises(SimulationError, match="negative"):
             validate_simulation(finished_simulation)
