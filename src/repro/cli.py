@@ -533,6 +533,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
     from repro.equiv import (
         BatteryConfig,
+        baseline_config,
         build_baseline,
         compare_to_baseline,
         read_baseline,
@@ -540,13 +541,12 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         write_baseline,
     )
 
-    config = _equiv_config(args)
     runner = _make_runner(args.workers)
     battery = BatteryConfig(family_alpha=args.alpha)
     if args.action == "selftest":
         mutants = args.mutants.split(",") if args.mutants else None
         report = run_selftest(
-            config,
+            _equiv_config(args),
             args.policy,
             _day_type(args.day),
             root_seed=args.seed,
@@ -565,7 +565,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
     if args.action == "baseline":
         payload = build_baseline(
-            config,
+            _equiv_config(args),
             args.policies.split(","),
             _day_type(args.day),
             root_seed=args.seed,
@@ -578,14 +578,15 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
             f"x {payload['ensemble_size']} seeds to {args.out}"
         )
         return 0
-    # compare: certify the current engine against a committed baseline.
+    # compare: certify the current engine against a committed baseline,
+    # on the farm, day and seeds the baseline records.
     try:
         payload = read_baseline(args.baseline)
     except (OSError, ValueError) as error:
         raise _input_error(args.baseline, error) from error
     report = compare_to_baseline(
         payload,
-        config,
+        baseline_config(payload),
         args.policy,
         battery_config=battery,
         runner=runner,
@@ -808,16 +809,21 @@ def build_parser() -> argparse.ArgumentParser:
     equiv_sub = equiv.add_subparsers(dest="action", required=True)
 
     def _equiv_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--day", default="weekday",
-                       choices=["weekday", "weekend"])
-        p.add_argument("--seed", type=int, default=2016,
-                       help="root seed; member seeds are derived from it")
-        p.add_argument("--ensemble-size", type=int, default=20)
         p.add_argument("--alpha", type=float, default=0.05,
                        help="family-wise false-rejection budget")
         p.add_argument("--workers", type=int, action=_PositiveInt,
                        default=1,
                        help="worker processes for reference ensembles")
+
+    def _equiv_ensemble(p: argparse.ArgumentParser) -> None:
+        """The farm, day and seeds to run; ``compare`` reads these from
+        its baseline instead."""
+        _equiv_common(p)
+        p.add_argument("--day", default="weekday",
+                       choices=["weekday", "weekend"])
+        p.add_argument("--seed", type=int, default=2016,
+                       help="root seed; member seeds are derived from it")
+        p.add_argument("--ensemble-size", type=int, default=20)
         p.add_argument("--home-hosts", type=int, default=4)
         p.add_argument("--consolidation-hosts", type=int, default=2)
         p.add_argument("--vms-per-host", type=int, default=4)
@@ -827,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="prove the battery rejects every registered mutant and "
              "accepts the reference across disjoint seeds",
     )
-    _equiv_common(selftest)
+    _equiv_ensemble(selftest)
     selftest.add_argument("--policy", default="FulltoPartial")
     selftest.add_argument(
         "--mutants", default=None,
@@ -841,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline",
         help="capture reference ensembles as a committed baseline JSON",
     )
-    _equiv_common(baseline)
+    _equiv_ensemble(baseline)
     baseline.add_argument(
         "--policies",
         default="OnlyPartial,Default,FulltoPartial,NewHome,GammaRobust@1",
@@ -853,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = equiv_sub.add_parser(
         "compare",
         help="certify the current engine against a committed baseline "
-             "(paired at the baseline's pinned seeds)",
+             "(paired on the baseline's farm, day and pinned seeds)",
     )
     _equiv_common(compare)
     compare.add_argument("--baseline", required=True)

@@ -34,6 +34,7 @@ from repro.equiv.harness import (
     BASELINE_VERSION,
     MutantTrial,
     SelftestReport,
+    baseline_config,
     baseline_seeds,
     build_baseline,
     compare_to_baseline,
@@ -81,6 +82,7 @@ __all__ = [
     "BASELINE_VERSION",
     "MutantTrial",
     "SelftestReport",
+    "baseline_config",
     "baseline_seeds",
     "build_baseline",
     "compare_to_baseline",

@@ -15,10 +15,11 @@ Three layers:
 
 * **Baselines** — :func:`build_baseline` captures reference ensembles
   for a set of policies into a JSON-serializable payload
-  (``tests/golden/equiv_baseline.json``); :func:`load_baseline` /
-  :func:`compare_to_baseline` replay a candidate engine at the
-  baseline's pinned seeds and run the battery *paired*, which is the
-  certification workflow for an engine variant.
+  (``tests/golden/equiv_baseline.json``) that records the farm shape,
+  day type and seeds they ran at; :func:`load_baseline` /
+  :func:`compare_to_baseline` replay a candidate engine on that farm at
+  the baseline's pinned seeds and run the battery *paired*, which is
+  the certification workflow for an engine variant.
 
 * **Self-test** — :func:`run_selftest` proves the battery's power: every
   registered mutant must be rejected at the committed ensemble size,
@@ -64,13 +65,17 @@ __all__ = [
     "build_baseline",
     "load_baseline",
     "baseline_seeds",
+    "baseline_config",
     "compare_to_baseline",
     "write_baseline",
     "read_baseline",
 ]
 
 #: Schema version of the committed baseline payload.
-BASELINE_VERSION = 1
+BASELINE_VERSION = 2
+
+#: The FarmConfig fields a baseline records as the farm it ran on.
+_FARM_SHAPE_FIELDS = ("home_hosts", "consolidation_hosts", "vms_per_host")
 
 
 def ensemble_seeds(root_seed: int, count: int) -> List[int]:
@@ -334,6 +339,7 @@ def build_baseline(
         entries[name] = [fp.as_dict() for fp in fingerprints]
     return {
         "version": BASELINE_VERSION,
+        "farm": _farm_shape(config),
         "day_type": day_type.value,
         "root_seed": root_seed,
         "ensemble_size": ensemble_size,
@@ -342,15 +348,19 @@ def build_baseline(
     }
 
 
+def _check_version(payload: Mapping) -> None:
+    version = payload.get("version")
+    if version != BASELINE_VERSION:
+        raise ConfigError(
+            f"unsupported baseline version {version!r}; "
+            f"expected {BASELINE_VERSION}"
+        )
+
+
 def load_baseline(payload: Mapping) -> Dict[str, List[RunFingerprint]]:
     """Decode a baseline payload into fingerprint ensembles per policy."""
+    _check_version(payload)
     try:
-        version = payload["version"]
-        if version != BASELINE_VERSION:
-            raise ConfigError(
-                f"unsupported baseline version {version!r}; "
-                f"expected {BASELINE_VERSION}"
-            )
         return {
             name: [fingerprint_from_dict(entry) for entry in entries]
             for name, entries in payload["policies"].items()
@@ -367,6 +377,20 @@ def baseline_seeds(payload: Mapping) -> List[int]:
         raise ConfigError(f"baseline payload missing {missing}") from None
 
 
+def _farm_shape(config: FarmConfig) -> Dict[str, int]:
+    return {name: getattr(config, name) for name in _FARM_SHAPE_FIELDS}
+
+
+def baseline_config(payload: Mapping) -> FarmConfig:
+    """The farm a baseline was recorded on (other settings default)."""
+    _check_version(payload)
+    try:
+        farm = payload["farm"]
+        return FarmConfig(**{name: farm[name] for name in _FARM_SHAPE_FIELDS})
+    except KeyError as missing:
+        raise ConfigError(f"baseline payload missing {missing}") from None
+
+
 def compare_to_baseline(
     payload: Mapping,
     config: FarmConfig,
@@ -378,10 +402,18 @@ def compare_to_baseline(
 
     Re-runs the engine at the baseline's pinned seeds and compares
     *paired* — the highest-power configuration, since any systematic
-    per-seed drift trips the sign tests.
+    per-seed drift trips the sign tests.  ``config`` must have the farm
+    shape the baseline was recorded on; another shape is a different
+    farm, not a variant of the engine.
     """
     name = resolve_strategy(policy).name
     ensembles = load_baseline(payload)
+    recorded = _farm_shape(baseline_config(payload))
+    if _farm_shape(config) != recorded:
+        raise ConfigError(
+            f"baseline was recorded on farm {recorded}; "
+            f"the config's farm is {_farm_shape(config)}"
+        )
     baseline = ensembles.get(name)
     if baseline is None:
         raise ConfigError(

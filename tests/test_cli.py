@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from tests.golden.update_goldens import EQUIV_BASELINE_PATH
 from tests.test_farm_runner import needs_fork
 
 
@@ -310,4 +311,34 @@ class TestUsageErrors:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert f"{option} must be >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_compare_with_a_farm_flag_exits_2(self):
+        # The baseline records its farm; a flag for another one is a
+        # usage error, not a certificate for a 20-VM farm.
+        completed = _run_cli([
+            "equiv", "compare", "--baseline", EQUIV_BASELINE_PATH,
+            "--policy", "Default", "--vms-per-host", "5",
+        ])
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert "unrecognized arguments: --vms-per-host 5" in completed.stderr
+        assert completed.stdout == ""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--home-hosts", "8"),
+        ("--consolidation-hosts", "3"),
+        ("--day", "weekend"),
+        ("--seed", "1"),
+        ("--ensemble-size", "5"),
+    ])
+    def test_compare_takes_farm_day_and_seeds_from_the_baseline(
+        self, capsys, flag, value
+    ):
+        assert main([
+            "equiv", "compare", "--baseline", EQUIV_BASELINE_PATH,
+            flag, value,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
         assert captured.out == ""

@@ -15,12 +15,14 @@ import os
 import pytest
 
 from repro.equiv import (
+    baseline_config,
     baseline_seeds,
     compare_to_baseline,
     ensemble_seeds,
     load_baseline,
     read_baseline,
 )
+from repro.errors import ConfigError
 from repro.farm import FarmConfig
 from tests.golden.update_goldens import (
     EQUIV_BASELINE_PATH,
@@ -45,6 +47,17 @@ def payload():
 class TestCommittedBaseline:
     def test_covers_the_committed_policies(self, payload):
         assert sorted(payload["policies"]) == sorted(EQUIV_POLICIES)
+
+    def test_records_the_farm_shape(self, payload):
+        assert baseline_config(payload) == FarmConfig(**FARM_SHAPE)
+
+    def test_another_farm_shape_is_a_config_error(self, payload):
+        wider = FarmConfig(**dict(FARM_SHAPE, vms_per_host=5))
+        with pytest.raises(ConfigError) as raised:
+            compare_to_baseline(payload, wider, "Default")
+        message = str(raised.value)
+        assert "'vms_per_host': 4" in message
+        assert "'vms_per_host': 5" in message
 
     def test_seeds_match_the_derivation(self, payload):
         assert baseline_seeds(payload) == ensemble_seeds(

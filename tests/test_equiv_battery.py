@@ -19,7 +19,12 @@ from repro.equiv.fingerprint import (
     RunFingerprint,
     fingerprint_from_dict,
 )
-from repro.equiv.harness import ensemble_seeds
+from repro.equiv.harness import (
+    BASELINE_VERSION,
+    baseline_config,
+    ensemble_seeds,
+    load_baseline,
+)
 from repro.errors import ConfigError
 
 
@@ -195,3 +200,19 @@ class TestSerialization:
         report = compare_fingerprints(_ensemble(SEEDS), _ensemble(SEEDS))
         text = report.render(verbose=True)
         assert text.count("ok    ") == len(report.verdicts)
+
+
+class TestBaselinePayload:
+    @pytest.mark.parametrize("read", [load_baseline, baseline_config])
+    def test_old_version_rejected(self, read):
+        with pytest.raises(ConfigError, match="baseline version 1"):
+            read({"version": 1, "policies": {}})
+
+    def test_farm_shape_required(self):
+        with pytest.raises(ConfigError, match="missing 'farm'"):
+            baseline_config({"version": BASELINE_VERSION})
+        with pytest.raises(ConfigError, match="missing 'vms_per_host'"):
+            baseline_config({
+                "version": BASELINE_VERSION,
+                "farm": {"home_hosts": 4, "consolidation_hosts": 2},
+            })
