@@ -386,9 +386,12 @@ def baseline_config(payload: Mapping) -> FarmConfig:
     _check_version(payload)
     try:
         farm = payload["farm"]
-        return FarmConfig(**{name: farm[name] for name in _FARM_SHAPE_FIELDS})
+        shape = {name: int(farm[name]) for name in _FARM_SHAPE_FIELDS}
     except KeyError as missing:
         raise ConfigError(f"baseline payload missing {missing}") from None
+    except (TypeError, ValueError) as error:
+        raise ConfigError(f"malformed baseline farm shape: {error}") from None
+    return FarmConfig(**shape)
 
 
 def compare_to_baseline(
@@ -444,4 +447,7 @@ def write_baseline(path: str, payload: Mapping) -> None:
 def read_baseline(path: str) -> dict:
     """Read a baseline payload written by :func:`write_baseline`."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError("a baseline payload is a JSON object")
+    return payload

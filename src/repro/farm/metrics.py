@@ -58,7 +58,7 @@ class DelayLog:
         self.delay_s.append(delay_s)
         self.action.append(action)
 
-    def extend(self, other: "DelayLog", vm_ids: Sequence[int]) -> None:
+    def extend(self, other: DelayLog, vm_ids: Sequence[int]) -> None:
         """Append ``other``'s samples, renaming its VM ``i`` to
         ``vm_ids[i]`` (a zone's local-to-global id table)."""
         self.time_s.extend(other.time_s)

@@ -284,10 +284,12 @@ class TestUsageErrors:
         ["equiv", "compare", "--baseline", "{tmp}/not_json.json"],
         ["simulate", "--home-hosts", "2", "--consolidation-hosts", "1",
          "--vms-per-host", "2", "--trace", "{tmp}/no/such/dir/day.jsonl"],
+        ["equiv", "compare", "--baseline", "{tmp}/list.json"],
     ])
     def test_bad_file_exits_2_with_one_stderr_line(self, tmp_path, argv):
         (tmp_path / "no_traces.json").write_text('{"users": []}\n')
         (tmp_path / "not_json.json").write_text("not json\n")
+        (tmp_path / "list.json").write_text("[]\n")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         completed = _run_cli(argv)
         assert completed.returncode == 2

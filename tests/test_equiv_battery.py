@@ -11,7 +11,6 @@ import pytest
 
 from repro.equiv.battery import (
     BatteryConfig,
-    EquivalenceReport,
     compare_fingerprints,
     report_from_dict,
 )
@@ -216,3 +215,12 @@ class TestBaselinePayload:
                 "version": BASELINE_VERSION,
                 "farm": {"home_hosts": 4, "consolidation_hosts": 2},
             })
+
+    @pytest.mark.parametrize("farm", [
+        {"home_hosts": 4, "consolidation_hosts": 2, "vms_per_host": "four"},
+        {"home_hosts": 4, "consolidation_hosts": 2, "vms_per_host": None},
+        [4, 2, 4],
+    ])
+    def test_malformed_farm_shape_rejected(self, farm):
+        with pytest.raises(ConfigError, match="malformed baseline farm"):
+            baseline_config({"version": BASELINE_VERSION, "farm": farm})
