@@ -33,10 +33,11 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import Cdf, format_percent, format_table
-from repro.core import ALL_POLICIES, strategy_by_name, strategy_names
+from repro.core import ALL_POLICIES, policy_by_name, policy_names
 from repro.errors import ConfigError, TraceFormatError, WorkerLostError
 from repro.farm import FarmConfig, SweepRunner, simulate_day
 from repro.faults import FAULT_PROFILE_NAMES, fault_profile_by_name
+from repro.policies import oracle_gap_report, render_gap_report
 from repro.traces import (
     DayType,
     compute_ensemble_stats,
@@ -160,14 +161,14 @@ def _print_zone_table(zoned) -> None:
 
 
 def _resolve_cli_policy(args: argparse.Namespace):
-    """The strategy named by ``--policy`` (plus ``--gamma``, if given)."""
+    """The policy named by ``--policy`` (plus ``--gamma``, if given)."""
     name = args.policy
     gamma = getattr(args, "gamma", None)
     if gamma is not None:
         if name.lower() != "gammarobust":
             raise ConfigError("--gamma only applies to --policy GammaRobust")
         name = f"GammaRobust@{gamma}"
-    return strategy_by_name(name)
+    return policy_by_name(name)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -310,7 +311,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     policies = (
         list(ALL_POLICIES) if args.policy == "all"
-        else [strategy_by_name(args.policy)]
+        else [policy_by_name(args.policy)]
     )
     runner = _make_runner(args.workers)
     if args.gamma is not None:
@@ -431,8 +432,6 @@ def _cmd_micro(args: argparse.Namespace) -> int:
         print(f"\npre-fetching the whole VM instead: "
               f"{prefetch_alternative_s():.1f} s")
     elif name == "gamma":
-        from repro.policies import oracle_gap_report, render_gap_report
-
         print(render_gap_report(oracle_gap_report()))
     else:
         print(f"unknown micro table {name!r}", file=sys.stderr)
@@ -542,7 +541,6 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     )
 
     runner = _make_runner(args.workers)
-    battery = BatteryConfig(family_alpha=args.alpha)
     if args.action == "selftest":
         mutants = args.mutants.split(",") if args.mutants else None
         report = run_selftest(
@@ -551,7 +549,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
             _day_type(args.day),
             root_seed=args.seed,
             ensemble_size=args.ensemble_size,
-            battery_config=battery,
+            battery_config=BatteryConfig(family_alpha=args.alpha),
             mutants=mutants,
             runner=runner,
         )
@@ -582,13 +580,13 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     # on the farm, day and seeds the baseline records.
     try:
         payload = read_baseline(args.baseline)
-    except (OSError, ValueError) as error:
+    except (OSError, ValueError, ConfigError) as error:
         raise _input_error(args.baseline, error) from error
     report = compare_to_baseline(
         payload,
         baseline_config(payload),
         args.policy,
-        battery_config=battery,
+        battery_config=BatteryConfig(family_alpha=args.alpha),
         runner=runner,
     )
     print(report.render(verbose=args.verbose))
@@ -635,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run one trace-driven day")
     simulate.add_argument(
-        "--policy", default="FulltoPartial", choices=strategy_names(),
+        "--policy", default="FulltoPartial", choices=policy_names(),
     )
     simulate.add_argument(
         "--gamma", type=int, default=None, metavar="N",
@@ -698,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--policy", default="all",
-        choices=["all"] + strategy_names(),
+        choices=["all"] + policy_names(),
         help="baseline policy (or 'all' for the paper's four)",
     )
     sweep.add_argument(
@@ -809,11 +807,14 @@ def build_parser() -> argparse.ArgumentParser:
     equiv_sub = equiv.add_subparsers(dest="action", required=True)
 
     def _equiv_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--alpha", type=float, default=0.05,
-                       help="family-wise false-rejection budget")
         p.add_argument("--workers", type=int, action=_PositiveInt,
                        default=1,
                        help="worker processes for reference ensembles")
+
+    def _equiv_alpha(p: argparse.ArgumentParser) -> None:
+        """Only the commands that run the battery take its budget."""
+        p.add_argument("--alpha", type=float, default=0.05,
+                       help="family-wise false-rejection budget")
 
     def _equiv_ensemble(p: argparse.ArgumentParser) -> None:
         """The farm, day and seeds to run; ``compare`` reads these from
@@ -834,6 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
              "accepts the reference across disjoint seeds",
     )
     _equiv_ensemble(selftest)
+    _equiv_alpha(selftest)
     selftest.add_argument("--policy", default="FulltoPartial")
     selftest.add_argument(
         "--mutants", default=None,
@@ -862,6 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(paired on the baseline's farm, day and pinned seeds)",
     )
     _equiv_common(compare)
+    _equiv_alpha(compare)
     compare.add_argument("--baseline", required=True)
     compare.add_argument("--policy", default="FulltoPartial")
     compare.add_argument("--verbose", action="store_true",

@@ -13,6 +13,9 @@ happens when a consolidated VM changes state (§3.2):
   turn idle for partial ones (the paper's best policy);
 * ``NewHome``    — FulltoPartial plus re-homing activating VMs to any
   powered host before falling back to waking the home.
+
+``GammaRobust@Γ`` (:func:`gamma_robust`) handles events like Default and
+places VMs Γ-robustly.
 """
 
 from repro.core.policies import (
@@ -22,7 +25,9 @@ from repro.core.policies import (
     FULL_TO_PARTIAL,
     NEW_HOME,
     ALL_POLICIES,
+    gamma_robust,
     policy_by_name,
+    policy_names,
 )
 from repro.core.plan import (
     ActivationAction,
@@ -34,17 +39,7 @@ from repro.core.plan import (
     PlannedMigration,
 )
 from repro.core.placement import GreedyVacatePlanner, DestinationStrategy
-from repro.core.strategies import (
-    GreedyStrategy,
-    PlacementStrategy,
-    PolicyLike,
-    register_family,
-    register_strategy,
-    resolve_strategy,
-    strategy_by_name,
-    strategy_names,
-    unregister_strategy,
-)
+from repro.core.strategies import PolicyLike, resolve_strategy
 from repro.core.manager import ClusterManager
 
 __all__ = [
@@ -54,7 +49,9 @@ __all__ = [
     "FULL_TO_PARTIAL",
     "NEW_HOME",
     "ALL_POLICIES",
+    "gamma_robust",
     "policy_by_name",
+    "policy_names",
     "ActivationAction",
     "ActivationDecision",
     "ConsolidationPlan",
@@ -64,14 +61,7 @@ __all__ = [
     "PlannedMigration",
     "GreedyVacatePlanner",
     "DestinationStrategy",
-    "GreedyStrategy",
-    "PlacementStrategy",
     "PolicyLike",
-    "register_family",
-    "register_strategy",
     "resolve_strategy",
-    "strategy_by_name",
-    "strategy_names",
-    "unregister_strategy",
     "ClusterManager",
 ]

@@ -13,7 +13,7 @@ import random
 from typing import List, Optional
 
 from repro.cluster.topology import Cluster
-from repro.core.placement import DestinationStrategy
+from repro.core.placement import DestinationStrategy, GreedyVacatePlanner
 from repro.core.plan import (
     ActivationAction,
     ActivationDecision,
@@ -24,6 +24,7 @@ from repro.core.strategies import PolicyLike, resolve_strategy
 from repro.errors import MigrationError
 from repro.obs.events import CAT_POLICY
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.policies.gamma import DemandIntervalModel, GammaRobustPlanner
 from repro.simulator.randomness import RngStreams
 from repro.vm.machine import VirtualMachine
 from repro.vm.state import Residency
@@ -44,23 +45,28 @@ class ClusterManager:
         tracer: Optional[Tracer] = None,
         streams: Optional[RngStreams] = None,
     ) -> None:
-        resolved = resolve_strategy(policy)
         self.cluster = cluster
-        self.placement_strategy = resolved
-        self.policy = resolved.spec
+        self.policy = resolve_strategy(policy)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.working_sets = (
             working_sets if working_sets is not None else WorkingSetSampler()
         )
         self.rng = rng if rng is not None else random.Random(0)
         self.min_idle_intervals = min_idle_intervals
-        self.planner = resolved.build_planner(
-            working_sets=self.working_sets,
-            rng=self.rng,
-            min_idle_intervals=min_idle_intervals,
-            destination=strategy,
-            streams=streams,
-        )
+        if self.policy.gamma is None:
+            self.planner = GreedyVacatePlanner(
+                self.policy, self.working_sets, self.rng,
+                min_idle_intervals, strategy,
+            )
+        else:
+            # Intervals are derived from the root seed, not drawn from
+            # any stream: robust placement is first fit and draws nothing.
+            intervals = DemandIntervalModel(
+                self.working_sets, streams.seed if streams is not None else 0
+            )
+            self.planner = GammaRobustPlanner(
+                self.policy, self.working_sets, intervals, min_idle_intervals
+            )
 
     # -- periodic planning ------------------------------------------------
 

@@ -1,244 +1,31 @@
-"""The pluggable placement-strategy layer.
+"""What every entry point accepts as a policy.
 
-A :class:`PlacementStrategy` bundles a behavioural :class:`PolicySpec`
-(what happens when consolidated VMs change state) with a *planner
-factory* (how consolidation placements are chosen each interval).  The
-paper's four policies become four registered :class:`GreedyStrategy`
-instances, and new policy families — the Γ-robust planner in
-:mod:`repro.policies.gamma` is the first — register themselves under
-their own names without touching the manager, the farm engine, the CLI,
-or the sweep helpers: all of those resolve strategies through
-:func:`resolve_strategy` / :func:`strategy_by_name`.
-
-Determinism contract: resolving a strategy and building its planner
-draws nothing.  A strategy receives the simulation's ``RngStreams``
-(when one exists) so it may *derive* seeds for its own named streams,
-but it must never advance a stream another component owns; the four
-greedy strategies ignore the streams entirely, which keeps the strategy
-refactor byte-identical to the pre-refactor planner wiring.
-
-Strategies must be picklable (frozen dataclasses, no closures): sweeps
-ship them to worker processes inside ``RunSpec`` objects.
+A policy is a :class:`PolicySpec` or its name.  The manager, the farm
+engine, the sweeps, the zoned runner and the equivalence harness take
+either and call :func:`resolve_strategy`; a name goes through
+:func:`~repro.core.policies.policy_by_name`, so a custom spec that no
+name reaches works wherever a name does.
 """
 
 from __future__ import annotations
 
-import abc
-import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Union
 
-from repro.core.placement import DestinationStrategy, GreedyVacatePlanner
-from repro.core.policies import ALL_POLICIES, PolicySpec
+from repro.core.policies import PolicySpec, policy_by_name
 from repro.errors import ConfigError
-from repro.simulator.randomness import RngStreams
-from repro.vm.workingset import WorkingSetSampler
 
-__all__ = [
-    "PlacementStrategy",
-    "GreedyStrategy",
-    "register_strategy",
-    "register_family",
-    "unregister_strategy",
-    "strategy_by_name",
-    "strategy_names",
-    "resolve_strategy",
-    "PolicyLike",
-]
+__all__ = ["PolicyLike", "resolve_strategy"]
+
+PolicyLike = Union[PolicySpec, str]
 
 
-class PlacementStrategy(abc.ABC):
-    """A named, picklable policy + planner-factory bundle."""
-
-    @property
-    @abc.abstractmethod
-    def name(self) -> str:
-        """Display name; keys registry lookups, sweep tables, goldens."""
-
-    @property
-    @abc.abstractmethod
-    def spec(self) -> PolicySpec:
-        """Behavioural switches the manager consults at event time."""
-
-    @abc.abstractmethod
-    def build_planner(
-        self,
-        working_sets: WorkingSetSampler,
-        rng: random.Random,
-        min_idle_intervals: int = 1,
-        destination: DestinationStrategy = DestinationStrategy.RANDOM,
-        streams: Optional[RngStreams] = None,
-    ) -> object:
-        """Return a planner exposing ``plan(cluster, compact_consolidation)``.
-
-        ``streams`` is the simulation's root stream registry (``None``
-        for bare unit-test managers); implementations may derive seeds
-        from it but must not advance any existing stream.
-        """
-
-
-@dataclass(frozen=True)
-class GreedyStrategy(PlacementStrategy):
-    """The paper's planner behind any of the four behavioural policies."""
-
-    policy: PolicySpec
-
-    @property
-    def name(self) -> str:
-        return self.policy.name
-
-    @property
-    def spec(self) -> PolicySpec:
-        return self.policy
-
-    def build_planner(
-        self,
-        working_sets: WorkingSetSampler,
-        rng: random.Random,
-        min_idle_intervals: int = 1,
-        destination: DestinationStrategy = DestinationStrategy.RANDOM,
-        streams: Optional[RngStreams] = None,
-    ) -> GreedyVacatePlanner:
-        return GreedyVacatePlanner(
-            policy=self.policy,
-            working_sets=working_sets,
-            rng=rng,
-            min_idle_intervals=min_idle_intervals,
-            strategy=destination,
-        )
-
-
-PolicyLike = Union[PolicySpec, PlacementStrategy, str]
-
-#: lowercase name -> registered strategy instance.
-_STRATEGIES: Dict[str, PlacementStrategy] = {}
-#: lowercase family prefix -> factory taking the text after ``@``
-#: (empty string when the bare family name is used).
-_FAMILIES: Dict[str, Callable[[str], PlacementStrategy]] = {}
-#: Display names in registration order (for error messages / CLI).
-_DISPLAY_ORDER: List[str] = []
-
-#: Separates a family name from its parameter, e.g. ``GammaRobust@2``.
-FAMILY_SEPARATOR = "@"
-
-_builtin_families_loaded = False
-
-
-def _load_builtin_families() -> None:
-    """Import the in-tree policy families so name lookups find them.
-
-    Deferred to first lookup: :mod:`repro.policies` imports this module,
-    so importing it eagerly at module scope would be circular.
-    """
-    global _builtin_families_loaded
-    if _builtin_families_loaded:
-        return
-    _builtin_families_loaded = True
-    import repro.policies  # noqa: F401  (registers the GammaRobust family)
-
-
-def register_strategy(
-    strategy: PlacementStrategy, replace: bool = False
-) -> PlacementStrategy:
-    """Add ``strategy`` to the registry under its (case-folded) name."""
-    key = strategy.name.lower()
-    if not key:
-        raise ConfigError("strategy name must be non-empty")
-    if not replace and (key in _STRATEGIES or key in _FAMILIES):
-        raise ConfigError(
-            f"strategy {strategy.name!r} is already registered; "
-            "pass replace=True to override"
-        )
-    if key not in _STRATEGIES and key not in _FAMILIES:
-        _DISPLAY_ORDER.append(strategy.name)
-    _STRATEGIES[key] = strategy
-    return strategy
-
-
-def register_family(
-    name: str, factory: Callable[[str], PlacementStrategy],
-    replace: bool = False,
-) -> None:
-    """Register a parameterized family, looked up as ``Name@arg``.
-
-    ``factory`` receives the text after :data:`FAMILY_SEPARATOR`
-    (``""`` when the bare family name is used) and returns a strategy.
-    """
-    key = name.lower()
-    if not key:
-        raise ConfigError("strategy family name must be non-empty")
-    if FAMILY_SEPARATOR in key:
-        raise ConfigError(
-            f"family name {name!r} must not contain {FAMILY_SEPARATOR!r}"
-        )
-    if not replace and (key in _STRATEGIES or key in _FAMILIES):
-        raise ConfigError(
-            f"strategy family {name!r} is already registered; "
-            "pass replace=True to override"
-        )
-    if key not in _STRATEGIES and key not in _FAMILIES:
-        _DISPLAY_ORDER.append(name)
-    _FAMILIES[key] = factory
-
-
-def unregister_strategy(name: str) -> None:
-    """Drop a registered strategy or family (test/plugin cleanup)."""
-    key = name.lower()
-    if _STRATEGIES.pop(key, None) is None and _FAMILIES.pop(key, None) is None:
-        raise ConfigError(f"strategy {name!r} is not registered")
-    for position, display in enumerate(_DISPLAY_ORDER):
-        if display.lower() == key:
-            del _DISPLAY_ORDER[position]
-            break
-
-
-def strategy_names() -> List[str]:
-    """Display names of every registered strategy and family."""
-    _load_builtin_families()
-    return list(_DISPLAY_ORDER)
-
-
-def strategy_by_name(name: str) -> PlacementStrategy:
-    """Look up a strategy by display name (case-insensitive).
-
-    Family lookups accept ``Family@arg`` (``GammaRobust@2``) as well as
-    the bare family name (the factory sees an empty argument and applies
-    its default).
-    """
-    _load_builtin_families()
-    key = name.lower()
-    found = _STRATEGIES.get(key)
-    if found is not None:
-        return found
-    family, separator, argument = name.partition(FAMILY_SEPARATOR)
-    factory = _FAMILIES.get(family.lower())
-    if factory is not None:
-        return factory(argument if separator else "")
-    raise ConfigError(
-        f"unknown strategy {name!r}; choose from {strategy_names()}"
-    )
-
-
-def resolve_strategy(policy: PolicyLike) -> PlacementStrategy:
-    """Coerce a policy-ish value to a :class:`PlacementStrategy`.
-
-    Accepts a strategy (returned as-is), a registry name, or any
-    :class:`PolicySpec` — including unregistered custom specs, which are
-    wrapped in a :class:`GreedyStrategy` so every pre-refactor call site
-    (and test fixture) keeps its exact historical behaviour.
-    """
-    if isinstance(policy, PlacementStrategy):
-        return policy
+def resolve_strategy(policy: PolicyLike) -> PolicySpec:
+    """The spec itself, or the spec a name resolves to."""
     if isinstance(policy, PolicySpec):
-        return GreedyStrategy(policy)
+        return policy
     if isinstance(policy, str):
-        return strategy_by_name(policy)
+        return policy_by_name(policy)
     raise ConfigError(
-        f"cannot resolve {policy!r} to a placement strategy; expected a "
-        "PlacementStrategy, PolicySpec, or registered strategy name"
+        f"cannot resolve {policy!r} to a policy; expected a PolicySpec "
+        "or a policy name"
     )
-
-
-for _policy in ALL_POLICIES:
-    register_strategy(GreedyStrategy(_policy))
-del _policy

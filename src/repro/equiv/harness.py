@@ -357,24 +357,49 @@ def _check_version(payload: Mapping) -> None:
         )
 
 
+def _field(payload: Mapping, name: str) -> object:
+    if name not in payload:
+        raise ConfigError(f"baseline payload missing {name!r}")
+    return payload[name]
+
+
+def _baseline_policies(payload: Mapping) -> Mapping:
+    policies = _field(payload, "policies")
+    if not isinstance(policies, Mapping):
+        raise ConfigError(
+            "baseline policies must map policy names to fingerprints, "
+            f"got {type(policies).__name__}"
+        )
+    return policies
+
+
+def _baseline_day_type(payload: Mapping) -> DayType:
+    value = _field(payload, "day_type")
+    try:
+        return DayType(value)
+    except ValueError:
+        raise ConfigError(
+            f"baseline day_type must be one of "
+            f"{[day.value for day in DayType]}, got {value!r}"
+        ) from None
+
+
 def load_baseline(payload: Mapping) -> Dict[str, List[RunFingerprint]]:
     """Decode a baseline payload into fingerprint ensembles per policy."""
     _check_version(payload)
-    try:
-        return {
-            name: [fingerprint_from_dict(entry) for entry in entries]
-            for name, entries in payload["policies"].items()
-        }
-    except KeyError as missing:
-        raise ConfigError(f"baseline payload missing {missing}") from None
+    return {
+        name: [fingerprint_from_dict(entry) for entry in entries]
+        for name, entries in _baseline_policies(payload).items()
+    }
 
 
 def baseline_seeds(payload: Mapping) -> List[int]:
     """The pinned member seeds a baseline's ensembles were run at."""
+    seeds = _field(payload, "seeds")
     try:
-        return [int(seed) for seed in payload["seeds"]]
-    except KeyError as missing:
-        raise ConfigError(f"baseline payload missing {missing}") from None
+        return [int(seed) for seed in seeds]
+    except (TypeError, ValueError) as error:
+        raise ConfigError(f"malformed baseline seeds: {error}") from None
 
 
 def _farm_shape(config: FarmConfig) -> Dict[str, int]:
@@ -423,7 +448,7 @@ def compare_to_baseline(
             f"baseline has no policy {name!r}; it covers "
             f"{sorted(ensembles)}"
         )
-    day_type = DayType(payload["day_type"])
+    day_type = _baseline_day_type(payload)
     seeds = baseline_seeds(payload)
     current = run_reference_ensemble(
         config, policy, day_type, seeds, runner=runner
@@ -445,9 +470,15 @@ def write_baseline(path: str, payload: Mapping) -> None:
 
 
 def read_baseline(path: str) -> dict:
-    """Read a baseline payload written by :func:`write_baseline`."""
+    """Read a baseline payload written by :func:`write_baseline`; a
+    malformed field is a :class:`ConfigError` naming it (fingerprints
+    are decoded on use)."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ValueError("a baseline payload is a JSON object")
+    baseline_config(payload)
+    _baseline_day_type(payload)
+    baseline_seeds(payload)
+    _baseline_policies(payload)
     return payload

@@ -130,10 +130,8 @@ class FarmSimulation:
                 f"ensemble has {len(ensemble)} users; the configuration "
                 f"needs {config.total_vms} (one VM per user)"
             )
-        strategy = resolve_strategy(policy)
         self.config = config
-        self.strategy = strategy
-        self.policy = strategy.spec
+        self.policy = resolve_strategy(policy)
         self.ensemble = ensemble
         self.seed = seed
         self.streams = RngStreams(seed)
@@ -169,7 +167,7 @@ class FarmSimulation:
 
         self.manager = ClusterManager(
             cluster=self.cluster,
-            policy=strategy,
+            policy=self.policy,
             working_sets=config.working_sets,
             rng=self.streams.get("manager"),
             min_idle_intervals=config.min_idle_intervals,
@@ -190,7 +188,7 @@ class FarmSimulation:
             self.cluster.host(home_id).attach(vm)
 
         self.result = FarmResult(
-            policy_name=strategy.name,
+            policy_name=self.policy.name,
             day_type=ensemble.day_type.value,
             seed=seed,
             horizon_s=SECONDS_PER_DAY,
@@ -304,7 +302,7 @@ class FarmSimulation:
             if self.tracer.enabled:
                 with self.tracer.span(
                     "farm.day", CAT_FARM,
-                    policy=self.strategy.name,
+                    policy=self.policy.name,
                     day_type=self.ensemble.day_type.value,
                     seed=self.seed,
                 ):

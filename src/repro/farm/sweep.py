@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from statistics import mean, pstdev
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.strategies import PolicyLike, resolve_strategy, strategy_by_name
+from repro.core.policies import policy_by_name
+from repro.core.strategies import PolicyLike, resolve_strategy
 from repro.energy.profile import MemoryServerProfile
 from repro.errors import ConfigError
 from repro.farm.config import FarmConfig
@@ -103,11 +104,11 @@ def average_savings(
     runner: Optional[SweepRunner] = None,
 ) -> SweepPoint:
     """Mean/stddev energy savings over repeated runs."""
-    strategy = resolve_strategy(policy)
-    results = run_repetitions(config, strategy, day_type, runs, base_seed,
+    spec = resolve_strategy(policy)
+    results = run_repetitions(config, spec, day_type, runs, base_seed,
                               runner=runner)
     return _aggregate(
-        label if label is not None else f"{strategy.name}/{day_type.value}",
+        label if label is not None else f"{spec.name}/{day_type.value}",
         results,
     )
 
@@ -123,27 +124,27 @@ def consolidation_host_sweep(
 ) -> Dict[str, List[Tuple[int, SweepPoint]]]:
     """Figure 8: savings vs number of consolidation hosts per policy.
 
-    ``policies`` is any mix of specs, registered strategies, or registry
-    names — nothing here assumes the paper's four; the result dict is
-    keyed by each strategy's display name.
+    ``policies`` is any mix of specs and policy names — nothing here
+    assumes the paper's four; the result dict is keyed by each policy's
+    name.
     """
     _require_runs(runs)
-    strategies = [resolve_strategy(policy) for policy in policies]
+    resolved = [resolve_strategy(policy) for policy in policies]
     specs: List[RunSpec] = []
-    for strategy in strategies:
+    for policy in resolved:
         for count in consolidation_counts:
             specs.extend(repetition_specs(
                 config.with_overrides(consolidation_hosts=count),
-                strategy,
+                policy,
                 day_type,
                 runs=runs,
                 base_seed=base_seed,
-                label=f"{strategy.name}/{count} consolidation hosts",
+                label=f"{policy.name}/{count} consolidation hosts",
             ))
     results = _default_runner(runner).run_results(specs)
     sweep: Dict[str, List[Tuple[int, SweepPoint]]] = {}
     cursor = 0
-    for strategy in strategies:
+    for policy in resolved:
         series: List[Tuple[int, SweepPoint]] = []
         for count in consolidation_counts:
             chunk = results[cursor:cursor + runs]
@@ -151,10 +152,10 @@ def consolidation_host_sweep(
             series.append((
                 count,
                 _aggregate(
-                    f"{strategy.name}/{count} consolidation hosts", chunk
+                    f"{policy.name}/{count} consolidation hosts", chunk
                 ),
             ))
-        sweep[strategy.name] = series
+        sweep[policy.name] = series
     return sweep
 
 
@@ -299,29 +300,29 @@ def gamma_sweep(
 ) -> List[Tuple[str, SweepPoint]]:
     """Γ-robustness sweep: baselines side by side with ``GammaRobust@Γ``.
 
-    Each baseline policy and each ``GammaRobust`` instantiation runs the
+    Each baseline policy and each ``GammaRobust@Γ`` policy runs the
     same ``runs`` seeded days on the same ``config`` (fault injection
     rides along through ``config.faults``), so the rows isolate the
-    packing policy.  Robust instantiations are resolved through the
-    strategy registry by name, exactly as the CLI would.
+    packing policy.  Robust policies are looked up by name, exactly as
+    the CLI would.
     """
     _require_runs(runs)
-    strategies = [resolve_strategy(policy) for policy in baselines]
+    resolved = [resolve_strategy(policy) for policy in baselines]
     for gamma in gammas:
         if gamma < 0:
             raise ConfigError(
                 f"gamma values must be non-negative, got {gamma}"
             )
-        strategies.append(strategy_by_name(f"GammaRobust@{int(gamma)}"))
+        resolved.append(policy_by_name(f"GammaRobust@{int(gamma)}"))
     specs: List[RunSpec] = []
-    for strategy in strategies:
+    for policy in resolved:
         specs.extend(repetition_specs(
-            config, strategy, day_type, runs=runs, base_seed=base_seed,
-            label=strategy.name,
+            config, policy, day_type, runs=runs, base_seed=base_seed,
+            label=policy.name,
         ))
     results = _default_runner(runner).run_results(specs)
     rows: List[Tuple[str, SweepPoint]] = []
-    for index, strategy in enumerate(strategies):
+    for index, policy in enumerate(resolved):
         chunk = results[index * runs:(index + 1) * runs]
-        rows.append((strategy.name, _aggregate(strategy.name, chunk)))
+        rows.append((policy.name, _aggregate(policy.name, chunk)))
     return rows

@@ -27,7 +27,7 @@ import pstats
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import strategy_by_name
+from repro.core import policy_by_name
 from repro.errors import ConfigError
 from repro.farm.config import FarmConfig
 from repro.farm.runner import SweepRunner, clear_ensemble_cache
@@ -221,7 +221,7 @@ def _day_fingerprint(result) -> Dict[str, object]:
 
 def _run_simulate_day(clock: Clock, case: BenchCase) -> CaseResult:
     config = case.farm_config()
-    policy = strategy_by_name(case.policy)
+    policy = policy_by_name(case.policy)
     started = clock()
     ensemble = _build_ensemble(case, config)
     ensemble_s = clock() - started
@@ -248,7 +248,7 @@ def _run_simulate_day(clock: Clock, case: BenchCase) -> CaseResult:
 
 def _run_sweep(clock: Clock, case: BenchCase) -> CaseResult:
     config = case.farm_config()
-    policy = strategy_by_name(case.policy)
+    policy = policy_by_name(case.policy)
     specs = repetition_specs(
         config, policy, DayType(case.day), runs=case.runs,
         base_seed=case.seed,
@@ -277,7 +277,7 @@ def _run_zoned_day(clock: Clock, case: BenchCase) -> CaseResult:
     """Time the whole zoned pipeline: partition, shard fan-out (process
     backend when zones > 1), and aggregation."""
     config = case.farm_config()
-    policy = strategy_by_name(case.policy)
+    policy = policy_by_name(case.policy)
     runs_s: List[float] = []
     zoned = None
     for _ in range(case.repeats):
@@ -325,7 +325,7 @@ def _profile_case(
 ) -> str:
     """cProfile one extra run of ``case``; a pstats top-``top`` table."""
     config = case.farm_config()
-    policy = strategy_by_name(case.policy)
+    policy = policy_by_name(case.policy)
     ensemble = _build_ensemble(case, config)
     profile = cProfile.Profile(clock)
     profile.enable()

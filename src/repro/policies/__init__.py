@@ -1,17 +1,15 @@
-"""Policy families beyond the paper's four.
+"""Planners beyond the paper's.
 
-Each module in this package defines a :class:`~repro.core.strategies.
-PlacementStrategy` implementation and registers it (importing this
-package is what makes the families resolvable by name — the strategy
-registry does so lazily on first lookup).
+:mod:`repro.policies.gamma` holds the Γ-robust planner, which the
+cluster manager builds for any :class:`~repro.core.policies.PolicySpec`
+with a ``gamma`` (``GammaRobust@Γ``), and the interval bin-packing core
+and exact oracle behind its tests and the ``micro gamma`` report.
 """
 
 from repro.policies.gamma import (
-    GAMMA_ROBUST_POLICY,
     GammaInstance,
     GammaItem,
     GammaRobustPlanner,
-    GammaRobustStrategy,
     DemandIntervalModel,
     brute_force_minimum_bins,
     gamma_first_fit,
@@ -24,11 +22,9 @@ from repro.policies.gamma import (
 )
 
 __all__ = [
-    "GAMMA_ROBUST_POLICY",
     "GammaInstance",
     "GammaItem",
     "GammaRobustPlanner",
-    "GammaRobustStrategy",
     "DemandIntervalModel",
     "brute_force_minimum_bins",
     "gamma_first_fit",

@@ -1,4 +1,4 @@
-"""Γ-robust consolidation (the ``GammaRobust`` strategy family).
+"""Γ-robust consolidation (the ``GammaRobust@Γ`` policies).
 
 Oasis packs VMs with *point estimates* of demand, so a handful of
 simultaneous working-set spikes can overflow a consolidation host that
@@ -18,10 +18,12 @@ The module has three layers:
   property/oracle test batteries and the ``micro gamma`` report;
 * :class:`DemandIntervalModel`, which derives each VM's interval
   deterministically from the simulation seed (see below);
-* :class:`GammaRobustPlanner` / :class:`GammaRobustStrategy`, the
-  farm-facing planner: a :class:`~repro.core.placement.GreedyVacatePlanner`
-  subclass that supplies only Γ and a demand model (nominal sizes and
-  spike rooms); the shadow-capacity index applies the Γ-robust fit rule.
+* :class:`GammaRobustPlanner`, the farm-facing planner: a
+  :class:`~repro.core.placement.GreedyVacatePlanner` subclass that reads
+  Γ from its policy spec (:func:`~repro.core.policies.gamma_robust`) and
+  supplies only a demand model (nominal sizes and spike rooms); the
+  shadow-capacity index applies the Γ-robust fit rule.  The cluster
+  manager builds it for any spec with a ``gamma``.
 
 Determinism contract (the ``gamma.intervals`` stream family): VM
 ``v``'s spike fraction is the single ``random()`` draw of a
@@ -42,23 +44,20 @@ import math
 import random
 from dataclasses import dataclass
 from heapq import nlargest
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.placement import DestinationStrategy, GreedyVacatePlanner
 from repro.core.policies import PolicySpec
-from repro.core.strategies import PlacementStrategy, register_family
 from repro.errors import ConfigError
-from repro.simulator.randomness import RngStreams, derive_seed
+from repro.simulator.randomness import derive_seed
 from repro.vm.machine import VirtualMachine
 from repro.vm.state import Residency
 from repro.vm.workingset import WorkingSetSampler
 
 __all__ = [
-    "GAMMA_ROBUST_POLICY",
     "GammaInstance",
     "GammaItem",
     "GammaRobustPlanner",
-    "GammaRobustStrategy",
     "DemandIntervalModel",
     "brute_force_minimum_bins",
     "gamma_first_fit",
@@ -372,17 +371,6 @@ def render_gap_report(report: Dict[str, object]) -> str:
 # farm-facing planner
 # ----------------------------------------------------------------------
 
-#: Behavioural switches of the GammaRobust family: hybrid migration with
-#: in-place conversion (Default's event handling); no exchange/rehome
-#: refinements, so the family isolates the effect of robust placement.
-GAMMA_ROBUST_POLICY = PolicySpec(
-    name="GammaRobust",
-    full_migrate_active=True,
-    convert_in_place=True,
-    exchange_idle_full=False,
-    rehome_on_exhaustion=False,
-)
-
 
 class DemandIntervalModel:
     """Deterministic per-VM demand intervals (``gamma.intervals``).
@@ -393,25 +381,17 @@ class DemandIntervalModel:
     own derived seed — see the module docstring for the contract.
     """
 
-    __slots__ = ("_sampler", "_root_seed", "_spike_min", "_spike_max",
-                 "_cache")
+    #: Bounds of the per-VM spike fraction of the headroom.
+    SPIKE_MIN = 0.25
+    SPIKE_MAX = 0.75
+
+    __slots__ = ("_sampler", "_root_seed", "_cache")
 
     def __init__(
-        self,
-        working_sets: WorkingSetSampler,
-        root_seed: int,
-        spike_min: float = 0.25,
-        spike_max: float = 0.75,
+        self, working_sets: WorkingSetSampler, root_seed: int
     ) -> None:
-        if not 0.0 <= spike_min <= spike_max <= 1.0:
-            raise ConfigError(
-                "spike fractions must satisfy 0 <= spike_min <= "
-                f"spike_max <= 1, got [{spike_min}, {spike_max}]"
-            )
         self._sampler = working_sets
         self._root_seed = root_seed
-        self._spike_min = spike_min
-        self._spike_max = spike_max
         self._cache: Dict[int, Tuple[float, float]] = {}
 
     def interval(self, vm: VirtualMachine) -> Tuple[float, float]:
@@ -426,7 +406,7 @@ class DemandIntervalModel:
         fraction = random.Random(derive_seed(
             self._root_seed, f"gamma.intervals:{vm.vm_id}"
         )).random()
-        spike = self._spike_min + (self._spike_max - self._spike_min) * fraction
+        spike = self.SPIKE_MIN + (self.SPIKE_MAX - self.SPIKE_MIN) * fraction
         deviation = spike * (memory - nominal)
         result = (nominal, deviation)
         self._cache[vm.vm_id] = result
@@ -449,15 +429,14 @@ class GammaRobustPlanner(GreedyVacatePlanner):
         policy: PolicySpec,
         working_sets: WorkingSetSampler,
         intervals: DemandIntervalModel,
-        gamma: int,
         min_idle_intervals: int = 1,
     ) -> None:
-        if gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {gamma}")
+        if policy.gamma is None:
+            raise ConfigError(f"policy {policy.name!r} sets no gamma")
         super().__init__(policy, working_sets, None, min_idle_intervals,
                          DestinationStrategy.FIRST_FIT)
         self.intervals = intervals
-        self.gamma = gamma
+        self.gamma = policy.gamma
 
     def _idle_demand(self, vm: VirtualMachine) -> Tuple[float, float]:
         return self.intervals.interval(vm)
@@ -471,76 +450,3 @@ class GammaRobustPlanner(GreedyVacatePlanner):
         nominal, deviation = self.intervals.interval(vm)
         spike = min(nominal + deviation, vm.memory_mib) - vm.resident_mib
         return spike if spike > 0.0 else 0.0
-
-
-# ----------------------------------------------------------------------
-# the registered strategy family
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GammaRobustStrategy(PlacementStrategy):
-    """``GammaRobust@Γ``: Γ-robust first-fit placement (picklable)."""
-
-    gamma: int = 1
-    spike_min: float = 0.25
-    spike_max: float = 0.75
-
-    def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if not 0.0 <= self.spike_min <= self.spike_max <= 1.0:
-            raise ConfigError(
-                "spike fractions must satisfy 0 <= spike_min <= "
-                f"spike_max <= 1, got [{self.spike_min}, {self.spike_max}]"
-            )
-
-    @property
-    def name(self) -> str:
-        return f"GammaRobust@{self.gamma}"
-
-    @property
-    def spec(self) -> PolicySpec:
-        return GAMMA_ROBUST_POLICY
-
-    def build_planner(
-        self,
-        working_sets: WorkingSetSampler,
-        rng: random.Random,
-        min_idle_intervals: int = 1,
-        destination: DestinationStrategy = DestinationStrategy.RANDOM,
-        streams: Optional[RngStreams] = None,
-    ) -> GammaRobustPlanner:
-        # ``rng`` and ``destination`` are part of the strategy protocol
-        # but deliberately unused: robust placement is deterministic
-        # first-fit and must not advance the manager's stream.
-        root_seed = streams.seed if streams is not None else 0
-        intervals = DemandIntervalModel(
-            working_sets,
-            root_seed,
-            spike_min=self.spike_min,
-            spike_max=self.spike_max,
-        )
-        return GammaRobustPlanner(
-            policy=self.spec,
-            working_sets=working_sets,
-            intervals=intervals,
-            gamma=self.gamma,
-            min_idle_intervals=min_idle_intervals,
-        )
-
-
-def _gamma_factory(argument: str) -> GammaRobustStrategy:
-    """Registry factory for ``GammaRobust`` / ``GammaRobust@N`` names."""
-    if not argument:
-        return GammaRobustStrategy()
-    try:
-        gamma = int(argument)
-    except ValueError:
-        raise ConfigError(
-            f"GammaRobust parameter must be an integer Γ, got {argument!r}"
-        )
-    return GammaRobustStrategy(gamma=gamma)
-
-
-register_family("GammaRobust", _gamma_factory)

@@ -200,7 +200,7 @@ def build_goldens() -> dict:
 
 
 def build_gamma_goldens() -> dict:
-    from repro.core import strategy_by_name
+    from repro.core import policy_by_name
     from repro.farm import FarmConfig, simulate_day
     from repro.traces import DayType
 
@@ -208,7 +208,7 @@ def build_gamma_goldens() -> dict:
     goldens = {"farm_shape": FARM_SHAPE, "policies": {}}
     for policy_name, seed in GAMMA_SEEDS.items():
         result = simulate_day(
-            config, strategy_by_name(policy_name), DayType.WEEKDAY, seed=seed
+            config, policy_by_name(policy_name), DayType.WEEKDAY, seed=seed
         )
         goldens["policies"][policy_name] = {
             "seed": seed,
@@ -220,13 +220,13 @@ def build_gamma_goldens() -> dict:
 
 def simulate_rack_day(key: str, seed: int):
     """One ``RACK_DAYS`` entry (``"Policy/daytype"``) on ``FarmConfig()``."""
-    from repro.core import strategy_by_name
+    from repro.core import policy_by_name
     from repro.farm import FarmConfig, simulate_day
     from repro.traces import DayType
 
     policy_name, _, day_type = key.partition("/")
     return simulate_day(
-        FarmConfig(), strategy_by_name(policy_name), DayType(day_type),
+        FarmConfig(), policy_by_name(policy_name), DayType(day_type),
         seed=seed,
     )
 
@@ -245,7 +245,7 @@ def build_rack_goldens() -> dict:
 
 def simulate_fault_day(policy_name: str, seed: int):
     """One ``FAULT_DAYS`` entry: a heavy-fault weekday on FARM_SHAPE."""
-    from repro.core import strategy_by_name
+    from repro.core import policy_by_name
     from repro.farm import FarmConfig, simulate_day
     from repro.faults import fault_profile_by_name
     from repro.traces import DayType
@@ -254,7 +254,7 @@ def simulate_fault_day(policy_name: str, seed: int):
         **FARM_SHAPE, faults=fault_profile_by_name(FAULT_PROFILE)
     )
     return simulate_day(
-        config, strategy_by_name(policy_name), DayType.WEEKDAY, seed=seed
+        config, policy_by_name(policy_name), DayType.WEEKDAY, seed=seed
     )
 
 

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -257,6 +258,7 @@ class TestUsageErrors:
          "--vms-per-host", "2", "--zones", "2", "--budget-w", "0"],
         ["sweep", "--consolidation-counts", "0,1"],
         ["simulate", "--policy", "Default", "--gamma", "1"],
+        ["simulate", "--policy", "GammaRobust", "--gamma", "-1"],
     ])
     def test_config_error_exits_2_with_one_stderr_line(self, argv):
         completed = _run_cli(argv)
@@ -285,11 +287,34 @@ class TestUsageErrors:
         ["simulate", "--home-hosts", "2", "--consolidation-hosts", "1",
          "--vms-per-host", "2", "--trace", "{tmp}/no/such/dir/day.jsonl"],
         ["equiv", "compare", "--baseline", "{tmp}/list.json"],
+        ["equiv", "compare", "--policy", "Default",
+         "--baseline", "{tmp}/no_day_type.json"],
+        ["equiv", "compare", "--policy", "Default",
+         "--baseline", "{tmp}/holiday.json"],
+        ["equiv", "compare", "--policy", "Default",
+         "--baseline", "{tmp}/bad_seeds.json"],
+        ["equiv", "compare", "--policy", "Default",
+         "--baseline", "{tmp}/policy_list.json"],
     ])
     def test_bad_file_exits_2_with_one_stderr_line(self, tmp_path, argv):
         (tmp_path / "no_traces.json").write_text('{"users": []}\n')
         (tmp_path / "not_json.json").write_text("not json\n")
         (tmp_path / "list.json").write_text("[]\n")
+        # Copies of the committed baseline with one field broken.
+        with open(EQUIV_BASELINE_PATH, encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        for name, field, value in (
+            ("no_day_type", "day_type", None),
+            ("holiday", "day_type", "holiday"),
+            ("bad_seeds", "seeds", ["x"]),
+            ("policy_list", "policies", []),
+        ):
+            broken = dict(baseline)
+            if value is None:
+                del broken[field]
+            else:
+                broken[field] = value
+            (tmp_path / f"{name}.json").write_text(json.dumps(broken))
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         completed = _run_cli(argv)
         assert completed.returncode == 2
@@ -314,6 +339,19 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert f"{option} must be >= 1" in captured.err
         assert captured.out == ""
+
+    def test_baseline_takes_no_alpha(self, capsys, tmp_path):
+        # Building a baseline runs no battery, so a family-wise budget
+        # there would be read by nothing.
+        out = tmp_path / "baseline.json"
+        assert main([
+            "equiv", "baseline", "--policies", "Default",
+            "--ensemble-size", "2", "--alpha", "0.5", "--out", str(out),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --alpha 0.5" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_compare_with_a_farm_flag_exits_2(self):
         # The baseline records its farm; a flag for another one is a

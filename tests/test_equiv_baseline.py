@@ -90,3 +90,26 @@ class TestCommittedBaseline:
         assert all(v.p_value > 0.999 for v in report.verdicts), (
             "the reference engine drifted from its own committed baseline"
         )
+
+    @pytest.mark.parametrize("field,value,words", [
+        ("day_type", None, "missing 'day_type'"),
+        ("day_type", "holiday", "day_type"),
+        ("seeds", None, "missing 'seeds'"),
+        ("seeds", ["x"], "seeds"),
+        ("policies", None, "missing 'policies'"),
+        ("policies", [], "policies"),
+    ])
+    def test_a_malformed_field_is_a_config_error_naming_it(
+        self, payload, tmp_path, field, value, words
+    ):
+        broken = dict(payload)
+        if value is None:
+            del broken[field]
+        else:
+            broken[field] = value
+        with pytest.raises(ConfigError, match=words):
+            compare_to_baseline(broken, FarmConfig(**FARM_SHAPE), "Default")
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        with pytest.raises(ConfigError, match=words):
+            read_baseline(str(path))

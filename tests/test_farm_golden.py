@@ -21,7 +21,7 @@ from tests.golden.update_goldens import (
     simulate_stdout,
     snapshot_result,
 )
-from repro.core import policy_by_name, strategy_by_name
+from repro.core import policy_by_name
 from repro.farm import FarmConfig, simulate_day
 from repro.traces import DayType
 
@@ -95,18 +95,18 @@ def test_explicit_single_zone_stdout_matches_golden(goldens, policy_name):
 
 @pytest.mark.parametrize("policy_name", sorted(POLICY_SEEDS))
 def test_strategy_layer_preserves_golden_stdout(goldens, policy_name):
-    """The pluggable strategy layer is behavior-preserving: resolving
-    each paper policy by *name* through the registry must reproduce the
-    pre-refactor golden stdout byte-for-byte (goldens unregenerated)."""
+    """Name lookup is behavior-preserving: resolving each paper policy
+    by *name* must reproduce the golden stdout byte-for-byte (goldens
+    unregenerated)."""
     pinned = goldens["policies"][policy_name]
     config = FarmConfig(**FARM_SHAPE)
-    via_registry = simulate_day(
+    via_name = simulate_day(
         config,
-        strategy_by_name(policy_name),
+        policy_by_name(policy_name),
         DayType.WEEKDAY,
         seed=pinned["seed"],
     )
-    assert json.loads(json.dumps(snapshot_result(via_registry))) == (
+    assert json.loads(json.dumps(snapshot_result(via_name))) == (
         pinned["result"]
     )
     assert simulate_stdout(policy_name, pinned["seed"]) == (
@@ -141,7 +141,7 @@ def test_gamma_result_matches_golden(gamma_goldens, policy_name):
     config = FarmConfig(**FARM_SHAPE)
     result = simulate_day(
         config,
-        strategy_by_name(policy_name),
+        policy_by_name(policy_name),
         DayType.WEEKDAY,
         seed=pinned["seed"],
     )

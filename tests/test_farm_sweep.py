@@ -1,17 +1,10 @@
 """Sweep helpers (small configurations to stay fast)."""
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import pytest
 
-from repro.core import (
-    FULL_TO_PARTIAL,
-    ONLY_PARTIAL,
-    GreedyStrategy,
-    register_strategy,
-    strategy_names,
-    unregister_strategy,
-)
+from repro.core import FULL_TO_PARTIAL, ONLY_PARTIAL, policy_names
 from repro.errors import ConfigError
 from repro.farm import FarmConfig, SweepRunner
 from repro.farm.sweep import (
@@ -128,40 +121,32 @@ class TestRunnerIntegration:
         assert baseline == explicit
 
 
-@dataclass(frozen=True)
-class _DummyStrategy(GreedyStrategy):
-    """FulltoPartial's planner under a name the built-ins never use."""
-
-    @property
-    def name(self) -> str:
-        return "SweepDummy"
-
-
 class TestStrategyRegistrySweeps:
-    """The sweeps hold no closed four-policy enum: a newly registered
-    strategy sweeps end-to-end purely by name."""
+    """The sweeps hold no closed four-policy enum: a custom spec that no
+    name reaches sweeps end-to-end as an object."""
 
-    def test_registered_dummy_strategy_sweeps_end_to_end(self):
-        register_strategy(_DummyStrategy(FULL_TO_PARTIAL))
-        try:
-            assert "SweepDummy" in strategy_names()
-            sweep = consolidation_host_sweep(
-                small_config(), ["SweepDummy"], DayType.WEEKDAY,
-                consolidation_counts=(1, 2), runs=1,
+    def test_custom_spec_sweeps_end_to_end(self):
+        custom = replace(FULL_TO_PARTIAL, name="SweepDummy")
+        assert "SweepDummy" not in policy_names()
+        sweep = consolidation_host_sweep(
+            small_config(), [custom], DayType.WEEKDAY,
+            consolidation_counts=(1, 2), runs=1,
+        )
+        assert set(sweep) == {"SweepDummy"}
+        reference = consolidation_host_sweep(
+            small_config(), [FULL_TO_PARTIAL], DayType.WEEKDAY,
+            consolidation_counts=(1, 2), runs=1,
+        )
+        # Same switches, same seeds: only the labels may differ.
+        assert len(sweep["SweepDummy"]) == len(reference["FulltoPartial"])
+        for (count, dummy), (ref_count, ref) in zip(
+            sweep["SweepDummy"], reference["FulltoPartial"]
+        ):
+            assert count == ref_count
+            assert dummy.mean_savings == ref.mean_savings
+            assert dummy.label == ref.label.replace(
+                "FulltoPartial", "SweepDummy"
             )
-            assert set(sweep) == {"SweepDummy"}
-            reference = consolidation_host_sweep(
-                small_config(), [FULL_TO_PARTIAL], DayType.WEEKDAY,
-                consolidation_counts=(1, 2), runs=1,
-            )
-            # Same planner, same seeds: only the labels may differ.
-            for (_, dummy), (_, ref) in zip(
-                sweep["SweepDummy"], reference["FulltoPartial"]
-            ):
-                assert dummy.mean_savings == ref.mean_savings
-        finally:
-            unregister_strategy("SweepDummy")
-        assert "SweepDummy" not in strategy_names()
 
     def test_policies_resolve_by_string_name(self):
         point = average_savings(

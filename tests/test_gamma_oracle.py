@@ -136,10 +136,12 @@ def test_intervals_pure_in_seed_and_vm_id():
 
 
 def test_interval_shape():
-    """nominal <= memory; deviation covers the configured fraction of
+    """nominal <= memory; deviation covers the model's spike fraction of
     the remaining headroom and never pushes past full memory."""
     sampler = WorkingSetSampler()
-    model = DemandIntervalModel(sampler, 7, spike_min=0.25, spike_max=0.75)
+    model = DemandIntervalModel(sampler, 7)
+    low, high = DemandIntervalModel.SPIKE_MIN, DemandIntervalModel.SPIKE_MAX
+    assert (low, high) == (0.25, 0.75)
     for vm_id in range(32):
         vm = VirtualMachine(vm_id, origin_home_id=0)
         nominal, deviation = model.interval(vm)
@@ -147,5 +149,5 @@ def test_interval_shape():
             min(sampler.expected_mib(), vm.memory_mib)
         )
         headroom = vm.memory_mib - nominal
-        assert 0.25 * headroom - 1e-9 <= deviation <= 0.75 * headroom + 1e-9
+        assert low * headroom - 1e-9 <= deviation <= high * headroom + 1e-9
         assert nominal + deviation <= vm.memory_mib + 1e-9

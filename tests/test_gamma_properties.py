@@ -30,9 +30,9 @@ import pytest
 from repro.cluster import Cluster
 from repro.core.placement import _ShadowCapacity
 from repro.core.plan import MigrationMode
+from repro.core import gamma_robust
 from repro.errors import ConfigError
 from repro.policies import (
-    GAMMA_ROBUST_POLICY,
     DemandIntervalModel,
     GammaItem,
     GammaRobustPlanner,
@@ -247,9 +247,7 @@ def test_planner_destinations_end_gamma_robust(gamma):
     for seed in CLUSTER_SEEDS:
         cluster = _random_cluster(seed)
         intervals = DemandIntervalModel(sampler, root_seed=seed)
-        planner = GammaRobustPlanner(
-            GAMMA_ROBUST_POLICY, sampler, intervals, gamma
-        )
+        planner = GammaRobustPlanner(gamma_robust(gamma), sampler, intervals)
         plan = planner.plan(cluster)
         items = _final_items(cluster, plan, intervals)
         targets = {

@@ -398,7 +398,7 @@ class TestComponentEmission:
     ):
         """Every traced migration moves a VM between two hosts; an
         in-place conversion pulls its image from the old home."""
-        from repro.core import strategy_by_name
+        from repro.core import policy_by_name
         from repro.farm import FarmConfig, simulate_day
         from repro.faults import fault_profile_by_name
         from repro.traces import DayType
@@ -409,7 +409,7 @@ class TestComponentEmission:
             **FARM_SHAPE, faults=fault_profile_by_name("heavy")
         )
         result = simulate_day(
-            config, strategy_by_name(policy_name), DayType.WEEKDAY,
+            config, policy_by_name(policy_name), DayType.WEEKDAY,
             seed=FAULT_DAYS[policy_name], tracer=tracer,
         )
         migrations = [e for e in tracer.events if e.category == "migration"]

@@ -5,8 +5,8 @@ traffic samplers call ``gauss``/``choice`` on the stream they are
 handed.  A ``random.Random`` subclass therefore sees every one of those
 draws, and the values are exactly the library's: the same seed gives
 the same plan and the same volumes whether or not the stream is
-instrumented.  The Γ-robust planner is handed the same stream by its
-strategy and must leave it untouched.
+instrumented.  The cluster manager hands the Γ-robust planner the same
+stream, and it must leave it untouched.
 """
 
 import random
@@ -16,11 +16,13 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import (
     FULL_TO_PARTIAL,
+    ClusterManager,
     DestinationStrategy,
     GreedyVacatePlanner,
+    gamma_robust,
 )
 from repro.migration.costs import MigrationCostModel
-from repro.policies import GammaRobustStrategy
+from repro.policies import GammaRobustPlanner
 from repro.vm import VirtualMachine, VmActivity, WorkingSetSampler
 
 SAMPLERS = (
@@ -91,11 +93,13 @@ class TestGammaPlannerDraws:
     def test_gamma_planner_draws_nothing(self, gamma, destination):
         rng = CountingRandom(11)
         state = rng.getstate()
-        options = {} if destination is None else {"destination": destination}
-        planner = GammaRobustStrategy(gamma=gamma).build_planner(
-            WorkingSetSampler(), rng, **options
+        options = {} if destination is None else {"strategy": destination}
+        manager = ClusterManager(
+            _idle_cluster(), gamma_robust(gamma), WorkingSetSampler(), rng,
+            **options,
         )
-        plan = planner.plan(_idle_cluster())
+        assert isinstance(manager.planner, GammaRobustPlanner)
+        plan = manager.plan_consolidation()
         assert plan.migration_count == 9
         assert rng.calls == {"gauss": 0, "choice": 0}
         assert rng.getstate() == state

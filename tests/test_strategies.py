@@ -1,132 +1,125 @@
-"""The pluggable strategy registry (`repro.core.strategies`)."""
+"""Policy names and resolution (`repro.core.policies`, `.strategies`).
 
+A policy is a :class:`PolicySpec`; ``GammaRobust@Γ`` is a spec with a
+``gamma``.  :func:`policy_by_name` is the one map from names to specs.
+"""
+
+import json
 import pickle
-from dataclasses import dataclass
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ALL_POLICIES,
-    FULL_TO_PARTIAL,
-    GreedyStrategy,
-    PlacementStrategy,
-    register_family,
-    register_strategy,
+    DEFAULT,
+    PolicySpec,
+    gamma_robust,
+    policy_by_name,
+    policy_names,
     resolve_strategy,
-    strategy_by_name,
-    strategy_names,
-    unregister_strategy,
 )
 from repro.errors import ConfigError
-from repro.policies import GammaRobustStrategy
-
-
-@dataclass(frozen=True)
-class _RoundTripStrategy(GreedyStrategy):
-    @property
-    def name(self) -> str:
-        return "RoundTrip"
+from tests.golden.update_goldens import (
+    EQUIV_BASELINE_PATH,
+    FAULT_GOLDEN_PATH,
+    GAMMA_GOLDEN_PATH,
+    GOLDEN_PATH,
+    RACK_GOLDEN_PATH,
+)
 
 
 class TestRegistry:
     def test_paper_policies_are_registered_in_order(self):
-        names = strategy_names()
+        names = policy_names()
         assert names[:4] == [
             "OnlyPartial", "Default", "FulltoPartial", "NewHome",
         ]
         assert "GammaRobust" in names
 
     def test_lookup_is_case_insensitive(self):
-        assert strategy_by_name("fulltopartial") is (
-            strategy_by_name("FulltoPartial")
+        assert policy_by_name("fulltopartial") is (
+            policy_by_name("FulltoPartial")
         )
 
     def test_registered_strategy_wraps_the_paper_spec(self):
         for policy in ALL_POLICIES:
-            strategy = strategy_by_name(policy.name)
-            assert isinstance(strategy, GreedyStrategy)
-            assert strategy.spec is policy
-            assert strategy.name == policy.name
+            assert policy_by_name(policy.name) is policy
+            assert policy.gamma is None
 
     def test_unknown_name_lists_choices(self):
-        with pytest.raises(ConfigError, match="unknown strategy"):
-            strategy_by_name("NoSuchPolicy")
-
-    def test_duplicate_registration_requires_replace(self):
-        with pytest.raises(ConfigError, match="already registered"):
-            register_strategy(GreedyStrategy(FULL_TO_PARTIAL))
-        with pytest.raises(ConfigError, match="already registered"):
-            register_family(
-                "FulltoPartial", lambda argument: GreedyStrategy(
-                    FULL_TO_PARTIAL
-                ),
-            )
-
-    def test_unregister_unknown_name_fails(self):
-        with pytest.raises(ConfigError, match="not registered"):
-            unregister_strategy("NeverRegistered")
-
-    def test_register_unregister_round_trip(self):
-        strategy = _RoundTripStrategy(FULL_TO_PARTIAL)
-        register_strategy(strategy)
-        try:
-            assert "RoundTrip" in strategy_names()
-            assert resolve_strategy("RoundTrip") is strategy
-        finally:
-            unregister_strategy("RoundTrip")
-        assert "RoundTrip" not in strategy_names()
+        with pytest.raises(ConfigError, match="unknown policy") as caught:
+            policy_by_name("NoSuchPolicy")
+        for name in policy_names():
+            assert name in str(caught.value)
 
 
 class TestFamilies:
     def test_family_lookup_parses_the_argument(self):
-        strategy = strategy_by_name("GammaRobust@3")
-        assert isinstance(strategy, GammaRobustStrategy)
-        assert strategy.gamma == 3
-        assert strategy.name == "GammaRobust@3"
+        policy = policy_by_name("GammaRobust@3")
+        assert policy == gamma_robust(3)
+        assert policy.gamma == 3
+        assert policy.name == "GammaRobust@3"
 
     def test_bare_family_name_applies_the_default(self):
-        strategy = strategy_by_name("GammaRobust")
-        assert isinstance(strategy, GammaRobustStrategy)
-        assert strategy.gamma == 1
+        policy = policy_by_name("GammaRobust")
+        assert policy.gamma == 1
+        assert policy.name == "GammaRobust@1"
 
     def test_family_lookup_is_case_insensitive(self):
-        assert strategy_by_name("gammarobust@2") == (
-            strategy_by_name("GammaRobust@2")
+        assert policy_by_name("gammarobust@2") == (
+            policy_by_name("GammaRobust@2")
         )
 
     def test_bad_family_argument_is_rejected(self):
         with pytest.raises(ConfigError, match="integer"):
-            strategy_by_name("GammaRobust@two")
+            policy_by_name("GammaRobust@two")
         with pytest.raises(ConfigError, match="gamma"):
-            strategy_by_name("GammaRobust@-1")
+            policy_by_name("GammaRobust@-1")
 
-    def test_family_name_cannot_contain_separator(self):
-        with pytest.raises(ConfigError, match="must not contain"):
-            register_family(
-                "Bad@Name", lambda argument: GreedyStrategy(FULL_TO_PARTIAL)
-            )
+    def test_gamma_robust_handles_events_like_default(self):
+        default = replace(gamma_robust(2), name="Default", gamma=None)
+        assert default == DEFAULT
+
+
+class TestBadGamma:
+    @pytest.mark.parametrize("gamma", [-1, -7])
+    def test_negative_gamma_is_a_config_error(self, gamma):
+        message = f"gamma must be >= 0, got {gamma}"
+        with pytest.raises(ConfigError, match=message):
+            replace(DEFAULT, gamma=gamma)
+        with pytest.raises(ConfigError, match="gamma must be >= 0"):
+            gamma_robust(gamma)
+        with pytest.raises(ConfigError, match="gamma must be >= 0"):
+            policy_by_name(f"GammaRobust@{gamma}")
+
+    @pytest.mark.parametrize("gamma", [1.5, "2"])
+    def test_non_integer_gamma_is_a_config_error(self, gamma):
+        with pytest.raises(ConfigError, match="gamma must be an integer"):
+            replace(DEFAULT, gamma=gamma)
+
+    @pytest.mark.parametrize("argument", ["two", "1.5", "", "3x"])
+    def test_non_integer_name_argument_is_a_config_error(self, argument):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            policy_by_name(f"GammaRobust@{argument}")
 
 
 class TestResolution:
     def test_strategy_passes_through_unchanged(self):
-        strategy = strategy_by_name("Default")
-        assert resolve_strategy(strategy) is strategy
-
-    def test_spec_is_wrapped_in_greedy(self):
-        resolved = resolve_strategy(FULL_TO_PARTIAL)
-        assert isinstance(resolved, GreedyStrategy)
-        assert resolved.spec is FULL_TO_PARTIAL
+        policy = policy_by_name("Default")
+        assert resolve_strategy(policy) is policy
+        assert resolve_strategy("Default") is policy
 
     def test_unregistered_custom_spec_still_resolves(self):
-        custom = FULL_TO_PARTIAL.__class__(
+        custom = PolicySpec(
             name="Bespoke",
             full_migrate_active=False,
             convert_in_place=True,
             exchange_idle_full=False,
             rehome_on_exhaustion=False,
         )
-        resolved = resolve_strategy(custom)
-        assert resolved.name == "Bespoke"
+        assert resolve_strategy(custom) is custom
 
     def test_non_policy_value_is_rejected(self):
         with pytest.raises(ConfigError, match="cannot resolve"):
@@ -134,14 +127,84 @@ class TestResolution:
 
 
 class TestPicklability:
-    """Sweeps ship strategies to worker processes inside RunSpecs."""
+    """Sweeps ship policies to worker processes inside RunSpecs."""
 
     @pytest.mark.parametrize(
         "name", ["Default", "GammaRobust@0", "GammaRobust@4"]
     )
     def test_strategies_survive_pickling(self, name):
-        strategy = strategy_by_name(name)
-        clone = pickle.loads(pickle.dumps(strategy))
-        assert isinstance(clone, PlacementStrategy)
-        assert clone.name == strategy.name
-        assert clone.spec == strategy.spec
+        policy = policy_by_name(name)
+        clone = pickle.loads(pickle.dumps(policy))
+        assert clone == policy
+        assert clone.name == name
+
+
+def _recorded_names():
+    """Every policy name the goldens and the equivalence baseline key
+    their records by."""
+    def load(path):
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    names = set(load(GOLDEN_PATH)["policies"])
+    names |= set(load(GAMMA_GOLDEN_PATH)["policies"])
+    rack_days = load(RACK_GOLDEN_PATH)["days"]
+    names |= {key.partition("/")[0] for key in rack_days}
+    names |= set(load(FAULT_GOLDEN_PATH)["days"])
+    names |= set(load(EQUIV_BASELINE_PATH)["policies"])
+    return sorted(names)
+
+
+class TestGoldenNames:
+    """Renaming a policy cannot silently orphan a golden."""
+
+    def test_goldens_record_every_paper_policy_and_a_gamma(self):
+        names = _recorded_names()
+        assert {policy.name for policy in ALL_POLICIES} <= set(names)
+        assert any(name.startswith("GammaRobust@") for name in names)
+
+    @pytest.mark.parametrize("name", _recorded_names())
+    def test_recorded_name_resolves_to_itself(self, name):
+        assert policy_by_name(name).name == name
+
+
+#: Names built from the grammar's pieces, so that the search reaches the
+#: valid ones as well as arbitrary text.
+_NAMES = st.one_of(
+    st.text(max_size=24),
+    st.sampled_from(policy_names()),
+    st.builds(
+        lambda family, argument: f"{family}@{argument}",
+        st.sampled_from(["GammaRobust", "gammarobust", "GAMMAROBUST",
+                         "Default"]),
+        st.one_of(st.integers(-5, 50).map(str), st.text(max_size=6)),
+    ),
+)
+
+
+class TestNameProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_NAMES)
+    def test_a_name_resolves_to_a_fixed_point_or_a_config_error(self, name):
+        try:
+            policy = policy_by_name(name)
+        except ConfigError:
+            return
+        assert policy_by_name(policy.name) == policy
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_every_non_negative_gamma_resolves(self, gamma):
+        policy = policy_by_name(f"GammaRobust@{gamma}")
+        assert policy.gamma == gamma
+        assert policy == gamma_robust(gamma)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(ALL_POLICIES),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=64)),
+        st.text(min_size=1, max_size=12),
+    )
+    def test_specs_survive_a_pickle_round_trip(self, base, gamma, name):
+        policy = replace(base, name=name, gamma=gamma)
+        assert pickle.loads(pickle.dumps(policy)) == policy
