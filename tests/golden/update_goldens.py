@@ -31,10 +31,16 @@ It also pins one traced mini-run (``trace_golden.jsonl`` byte-for-byte,
 plus its Chrome export ``trace_golden_chrome.json``) so the event
 vocabulary and exporter formatting cannot drift silently either; see
 ``tests/test_trace_golden.py``.
+
+``ensemble_golden.json`` pins the synthetic trace generator itself: the
+SHA-256 of every ensemble in ``ENSEMBLE_CONFIGS`` (config label, day
+type, seed), so a rewrite of the generator's loops must keep every
+draw; see ``tests/test_ensemble_golden.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -133,6 +139,41 @@ TRACE_SHAPE = dict(home_hosts=2, consolidation_hosts=1, vms_per_host=3)
 TRACE_SEED = 5
 TRACE_POLICY = "Default"
 TRACE_FAULT_PROFILE = "heavy"
+
+
+ENSEMBLE_GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "ensemble_golden.json"
+)
+
+#: label -> (users, seeds, ``TraceGeneratorConfig`` overrides), every
+#: label generated on both day types.  ``default`` is the paper rack's
+#: ensemble; the others reach the generator's edge branches: no weekday
+#: background next to a heavy weekend one with 1-interval background
+#: bursts; a background that starts a burst wherever its weight is not
+#: zero; and a day with lunch always taken, no absence, 1-interval
+#: weekday bursts and up to five weekend sessions, always held.
+#: ``weekday_bursts`` is given as ``BurstModel`` arguments.
+ENSEMBLE_CONFIGS = {
+    "default": (900, (1, 2, 3), {}),
+    "weekend-background": (200, (4, 5), {
+        "weekday_background_start_probability": 0.0,
+        "weekend_background_start_probability": 0.3,
+        "background_burst_mean_intervals": 1.0,
+    }),
+    "saturated-background": (200, (6, 7), {
+        "weekday_background_start_probability": 1.0,
+        "weekend_background_start_probability": 1.0,
+        "background_burst_mean_intervals": 6.0,
+        "background_predawn_factor": 0.0,
+    }),
+    "always-lunch": (200, (8, 9), {
+        "lunch_probability": 1.0,
+        "weekday_absence_probability": 0.0,
+        "weekday_bursts": (1.0, 1.0),
+        "weekend_session_probability": 1.0,
+        "weekend_max_sessions": 5,
+    }),
+}
 
 
 def snapshot_result(result) -> dict:
@@ -333,6 +374,40 @@ def build_trace_goldens() -> None:
     print(f"wrote {TRACE_CHROME_PATH}")
 
 
+def ensemble_keys() -> list:
+    """Every pinned ensemble as ``"label/day type/seed"``."""
+    return [
+        f"{label}/{day}/{seed}"
+        for label, (_, seeds, _) in ENSEMBLE_CONFIGS.items()
+        for day in ("weekday", "weekend")
+        for seed in seeds
+    ]
+
+
+def ensemble_sha256(key: str) -> str:
+    """SHA-256 of one pinned ensemble's 0/1 strings, one line per user."""
+    from repro.traces import DayType, TraceGeneratorConfig, generate_ensemble
+    from repro.traces.generator import BurstModel
+
+    label, day, seed = key.split("/")
+    users, _, overrides = ENSEMBLE_CONFIGS[label]
+    overrides = dict(overrides)
+    if "weekday_bursts" in overrides:
+        overrides["weekday_bursts"] = BurstModel(*overrides["weekday_bursts"])
+    ensemble = generate_ensemble(
+        users, DayType(day), int(seed), TraceGeneratorConfig(**overrides)
+    )
+    digest = hashlib.sha256()
+    for trace in ensemble:
+        line = "".join("1" if active else "0" for active in trace.intervals)
+        digest.update(line.encode("ascii") + b"\n")
+    return digest.hexdigest()
+
+
+def build_ensemble_goldens() -> dict:
+    return {"sha256": {key: ensemble_sha256(key) for key in ensemble_keys()}}
+
+
 def main() -> int:
     goldens = build_goldens()
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
@@ -354,6 +429,11 @@ def main() -> int:
         json.dump(fault, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {FAULT_GOLDEN_PATH}")
+    ensembles = build_ensemble_goldens()
+    with open(ENSEMBLE_GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(ensembles, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {ENSEMBLE_GOLDEN_PATH}")
     build_trace_goldens()
     build_equiv_baseline()
     print("Diff it, explain every changed number, commit it with your change.")

@@ -7,6 +7,9 @@ import pytest
 from repro.errors import ConfigError
 from repro.traces import DayType, SyntheticTraceGenerator, TraceGeneratorConfig
 from repro.traces.generator import BurstModel
+from repro.units import INTERVALS_PER_DAY
+
+_HOURS_PER_INTERVAL = 24.0 / INTERVALS_PER_DAY
 
 
 class TestBurstModel:
@@ -109,3 +112,190 @@ class TestGeneratedStructure:
             1 for t in traces if any(t.intervals[0 : 5 * 12])
         )
         assert night_hits > 50
+
+
+class ReferenceGenerator:
+    """The generator's per-interval loops, kept as the reference its
+    faster loops must equal: one weight call, one product and one bound
+    check per interval, one geometric trial per draw."""
+
+    def __init__(self, config, rng):
+        self.config = config
+        self.rng = rng
+
+    def intervals(self, day_type):
+        if day_type is DayType.WEEKDAY:
+            bits = self._weekday_bits()
+        else:
+            bits = self._weekend_bits()
+        for bit in bits:
+            assert bit in (0, 1)
+        return tuple(bool(bit) for bit in bits)
+
+    def _weekday_bits(self):
+        rng = self.rng
+        config = self.config
+        bits = [0] * INTERVALS_PER_DAY
+        self._add_background(bits, config.weekday_background_start_probability)
+        if rng.random() < config.weekday_absence_probability:
+            return bits
+        arrival = self._clamped_gauss(
+            config.arrival_mean_h, config.arrival_std_h, 5.5, 12.5
+        )
+        departure = self._clamped_gauss(
+            config.departure_mean_h, config.departure_std_h, arrival + 2.0, 23.5
+        )
+        lunch_span = None
+        if rng.random() < config.lunch_probability:
+            lunch_start = self._clamped_gauss(
+                config.lunch_start_mean_h, config.lunch_start_std_h, 11.0, 14.0
+            )
+            lunch_length = self._clamped_gauss(
+                config.lunch_duration_mean_h,
+                config.lunch_duration_std_h,
+                0.25,
+                1.5,
+            )
+            lunch_span = (lunch_start, min(lunch_start + lunch_length, departure))
+        first = self._hour_to_interval(arrival)
+        last = self._hour_to_interval(departure)
+        skip = None
+        if lunch_span is not None:
+            start, end = lunch_span
+
+            def skip(interval):
+                return start <= interval * _HOURS_PER_INTERVAL < end
+
+        self._fill_bursts(bits, first, last, config.weekday_bursts, skip)
+        return bits
+
+    def _weekend_bits(self):
+        rng = self.rng
+        config = self.config
+        bits = [0] * INTERVALS_PER_DAY
+        self._add_background(bits, config.weekend_background_start_probability)
+        if rng.random() >= config.weekend_session_probability:
+            return bits
+        sessions = rng.randint(1, config.weekend_max_sessions)
+        for _ in range(sessions):
+            start = rng.uniform(
+                config.weekend_session_start_low_h,
+                config.weekend_session_start_high_h,
+            )
+            duration = self._clamped_gauss(
+                config.weekend_session_duration_mean_h,
+                config.weekend_session_duration_std_h,
+                0.25,
+                5.0,
+            )
+            first = self._hour_to_interval(start)
+            last = self._hour_to_interval(min(start + duration, 24.0 - 1e-9))
+            self._fill_bursts(bits, first, last, config.weekend_bursts)
+        return bits
+
+    def _sample_run(self, bursts, active):
+        mean = bursts.active_mean_intervals if active else bursts.idle_mean_intervals
+        length = 1
+        while self.rng.random() > 1.0 / mean:
+            length += 1
+        return length
+
+    def _fill_bursts(self, bits, first, last, bursts, skip=None):
+        index = first
+        active = True
+        while index <= min(last, INTERVALS_PER_DAY - 1):
+            run = self._sample_run(bursts, active)
+            for _ in range(run):
+                if index > min(last, INTERVALS_PER_DAY - 1):
+                    break
+                if active and not (skip is not None and skip(index)):
+                    bits[index] = 1
+                index += 1
+            active = not active
+
+    def _add_background(self, bits, start_probability):
+        if start_probability <= 0.0:
+            return
+        rng = self.rng
+        mean = self.config.background_burst_mean_intervals
+        index = 0
+        while index < INTERVALS_PER_DAY:
+            hour = index * _HOURS_PER_INTERVAL
+            weighted = start_probability * self.config.background_weight(hour)
+            if rng.random() < weighted:
+                run = 1
+                while rng.random() > 1.0 / mean:
+                    run += 1
+                for offset in range(run):
+                    if index + offset < INTERVALS_PER_DAY:
+                        bits[index + offset] = 1
+                index += run
+            else:
+                index += 1
+
+    def _clamped_gauss(self, mean, std, low, high):
+        return min(max(self.rng.gauss(mean, std), low), high)
+
+    @staticmethod
+    def _hour_to_interval(hour):
+        return min(int(hour / _HOURS_PER_INTERVAL), INTERVALS_PER_DAY - 1)
+
+
+def random_config(seed):
+    """A valid config that favours the edges: probabilities and weights
+    of exactly 0 or 1, burst means of exactly 1 interval, zero spreads."""
+    rng = random.Random(seed)
+
+    def probability():
+        return rng.choice((0.0, 1.0, rng.random(), rng.random()))
+
+    def spread(high):
+        return rng.choice((0.0, rng.uniform(0.0, high)))
+
+    def run_mean():
+        return rng.choice((1.0, rng.uniform(1.0, 8.0)))
+
+    arrival = rng.uniform(5.0, 13.0)
+    return TraceGeneratorConfig(
+        weekday_absence_probability=probability(),
+        arrival_mean_h=arrival,
+        arrival_std_h=spread(2.0),
+        departure_mean_h=rng.uniform(arrival + 0.5, 24.0),
+        departure_std_h=spread(3.0),
+        lunch_probability=probability(),
+        lunch_start_mean_h=rng.uniform(10.5, 14.5),
+        lunch_start_std_h=spread(1.0),
+        lunch_duration_mean_h=rng.uniform(0.0, 2.0),
+        lunch_duration_std_h=spread(1.0),
+        weekday_bursts=BurstModel(run_mean(), run_mean()),
+        weekend_session_probability=probability(),
+        weekend_max_sessions=rng.randint(1, 5),
+        weekend_session_start_low_h=rng.uniform(0.0, 12.0),
+        weekend_session_start_high_h=rng.uniform(12.0, 24.0),
+        weekend_session_duration_mean_h=rng.uniform(0.0, 6.0),
+        weekend_session_duration_std_h=spread(2.0),
+        weekend_bursts=BurstModel(run_mean(), run_mean()),
+        weekday_background_start_probability=probability(),
+        weekend_background_start_probability=probability(),
+        background_burst_mean_intervals=run_mean(),
+        background_evening_factor=rng.choice((0.0, rng.uniform(0.0, 3.0))),
+        background_night_factor=rng.choice((0.0, rng.uniform(0.0, 3.0))),
+        background_predawn_factor=rng.choice((0.0, rng.uniform(0.0, 3.0))),
+    )
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("day_type", list(DayType))
+    @pytest.mark.parametrize("config_seed", range(30))
+    def test_same_traces_and_draws_as_the_reference(self, config_seed, day_type):
+        config = random_config(config_seed)
+        reference_rng = random.Random(config_seed)
+        reference = ReferenceGenerator(config, reference_rng)
+        expected = [reference.intervals(day_type) for _ in range(30)]
+        rng = random.Random(config_seed)
+        traces = SyntheticTraceGenerator(config, rng=rng).generate_many(
+            30, day_type
+        )
+        assert [trace.intervals for trace in traces] == expected
+        # The same number of draws, so the next user would match too.
+        assert rng.getstate() == reference_rng.getstate()
