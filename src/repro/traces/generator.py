@@ -17,13 +17,23 @@ aggregate statistics the paper reports for its real traces (§5.1-5.2):
 * weekends show much lower activity.
 
 ``tests/test_traces_calibration.py`` asserts these targets.
+
+Every ensemble is a pure function of its seed, so the loops keep a draw
+contract: each visited interval of the background overlay draws one
+``random()`` against a threshold equal, bit for bit, to
+``start_probability * background_weight(hour)``; each geometric run
+length is drawn one trial at a time; and the lunch break is the exact
+float test ``start <= hour < end`` per interval.  The thresholds are
+computed once per generator, and active runs are filled by slice.
+``tests/golden/ensemble_golden.json`` and a test-local copy of the
+per-interval loops hold the generator to this contract.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.traces.model import DayType, UserDayTrace
@@ -54,7 +64,12 @@ class BurstModel:
         return self.active_mean_intervals / total
 
     def sample_run(self, active: bool, rng: random.Random) -> int:
-        """Sample one run length (in intervals) for the given state."""
+        """Sample one run length (in intervals) for the given state.
+
+        The generator's burst fill inlines these trials, because a call
+        per run costs more than the run's draws; its tests hold the fill
+        to this method.
+        """
         mean = self.active_mean_intervals if active else self.idle_mean_intervals
         # Geometric with support {1, 2, ...} and the requested mean.
         success = 1.0 / mean
@@ -157,6 +172,9 @@ class SyntheticTraceGenerator:
     ) -> None:
         self.config = config
         self._rng = rng if rng is not None else random.Random(0)
+        #: start probability -> its 288 per-interval background start
+        #: thresholds, built on first use.
+        self._thresholds: Dict[float, List[float]] = {}
 
     # -- public API -----------------------------------------------------
 
@@ -210,9 +228,8 @@ class SyntheticTraceGenerator:
 
         first = self._hour_to_interval(arrival)
         last = self._hour_to_interval(departure)
-        in_lunch = self._interval_predicate(lunch_span)
         self._fill_bursts(
-            bits, first, last, config.weekday_bursts, skip=in_lunch
+            bits, first, last, config.weekday_bursts, lunch=lunch_span
         )
         return bits
 
@@ -246,43 +263,72 @@ class SyntheticTraceGenerator:
 
     # -- shared machinery ---------------------------------------------------
 
-    def _fill_bursts(self, bits, first, last, bursts: BurstModel, skip=None):
-        """Fill ``bits[first..last]`` with an alternating burst process."""
-        rng = self._rng
+    def _fill_bursts(self, bits, first, last, bursts: BurstModel, lunch=None):
+        """Fill ``bits[first..last]`` with an alternating burst process,
+        leaving the intervals of the ``(start, end)`` hour span ``lunch``
+        idle.  Run lengths are :meth:`BurstModel.sample_run`'s draws."""
+        draw = self._rng.random
+        active_success = 1.0 / bursts.active_mean_intervals
+        idle_success = 1.0 / bursts.idle_mean_intervals
+        end = min(last, INTERVALS_PER_DAY - 1) + 1
         index = first
         # Sessions begin with activity: the user just sat down.
-        active = True
-        while index <= min(last, INTERVALS_PER_DAY - 1):
-            run = bursts.sample_run(active, rng)
-            for _ in range(run):
-                if index > min(last, INTERVALS_PER_DAY - 1):
-                    break
-                if active and not (skip is not None and skip(index)):
-                    bits[index] = 1
+        while index < end:
+            stop = index + 1
+            while draw() > active_success:
+                stop += 1
+            stop = min(stop, end)
+            if lunch is None:
+                bits[index:stop] = [1] * (stop - index)
+            else:
+                # The exact float test per interval: an index range
+                # derived by division could round differently at the
+                # span's ends.
+                lunch_start, lunch_end = lunch
+                for interval in range(index, stop):
+                    hour = interval * _HOURS_PER_INTERVAL
+                    if not lunch_start <= hour < lunch_end:
+                        bits[interval] = 1
+            if stop == end:
+                return
+            index = stop + 1
+            while draw() > idle_success:
                 index += 1
-            active = not active
 
     def _add_background(self, bits, start_probability: float) -> None:
         """Overlay sparse background activity bursts on the whole day,
         modulated by the hour-of-day weight profile."""
         if start_probability <= 0.0:
             return
-        rng = self._rng
-        mean = self.config.background_burst_mean_intervals
+        thresholds = self._background_thresholds(start_probability)
+        draw = self._rng.random
+        success = 1.0 / self.config.background_burst_mean_intervals
         index = 0
         while index < INTERVALS_PER_DAY:
-            hour = index * _HOURS_PER_INTERVAL
-            weighted = start_probability * self.config.background_weight(hour)
-            if rng.random() < weighted:
-                run = 1
-                while rng.random() > 1.0 / mean:
-                    run += 1
-                for offset in range(run):
-                    if index + offset < INTERVALS_PER_DAY:
-                        bits[index + offset] = 1
-                index += run
+            if draw() < thresholds[index]:
+                # Geometric burst length, one trial per draw.
+                end = index + 1
+                while draw() > success:
+                    end += 1
+                stop = min(end, INTERVALS_PER_DAY)
+                bits[index:stop] = [1] * (stop - index)
+                index = end
             else:
                 index += 1
+
+    def _background_thresholds(self, start_probability: float) -> List[float]:
+        """Per-interval background start probabilities: the same
+        products ``start_probability * background_weight(hour)`` the
+        draws are compared with, computed once per generator."""
+        thresholds = self._thresholds.get(start_probability)
+        if thresholds is None:
+            weight = self.config.background_weight
+            thresholds = [
+                start_probability * weight(index * _HOURS_PER_INTERVAL)
+                for index in range(INTERVALS_PER_DAY)
+            ]
+            self._thresholds[start_probability] = thresholds
+        return thresholds
 
     def _clamped_gauss(self, mean, std, low, high) -> float:
         value = self._rng.gauss(mean, std)
@@ -291,16 +337,3 @@ class SyntheticTraceGenerator:
     @staticmethod
     def _hour_to_interval(hour: float) -> int:
         return min(int(hour / _HOURS_PER_INTERVAL), INTERVALS_PER_DAY - 1)
-
-    @staticmethod
-    def _interval_predicate(span_hours):
-        """Return ``predicate(interval) -> bool`` for an (start, end) span."""
-        if span_hours is None:
-            return None
-        start, end = span_hours
-
-        def in_span(interval: int) -> bool:
-            hour = interval * _HOURS_PER_INTERVAL
-            return start <= hour < end
-
-        return in_span

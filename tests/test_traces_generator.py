@@ -117,7 +117,8 @@ class TestGeneratedStructure:
 class ReferenceGenerator:
     """The generator's per-interval loops, kept as the reference its
     faster loops must equal: one weight call, one product and one bound
-    check per interval, one geometric trial per draw."""
+    check per interval, and one ``BurstModel.sample_run`` call per
+    burst run."""
 
     def __init__(self, config, rng):
         self.config = config
@@ -193,18 +194,11 @@ class ReferenceGenerator:
             self._fill_bursts(bits, first, last, config.weekend_bursts)
         return bits
 
-    def _sample_run(self, bursts, active):
-        mean = bursts.active_mean_intervals if active else bursts.idle_mean_intervals
-        length = 1
-        while self.rng.random() > 1.0 / mean:
-            length += 1
-        return length
-
     def _fill_bursts(self, bits, first, last, bursts, skip=None):
         index = first
         active = True
         while index <= min(last, INTERVALS_PER_DAY - 1):
-            run = self._sample_run(bursts, active)
+            run = bursts.sample_run(active, self.rng)
             for _ in range(run):
                 if index > min(last, INTERVALS_PER_DAY - 1):
                     break
