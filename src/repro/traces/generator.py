@@ -31,6 +31,7 @@ per-interval loops hold the generator to this contract.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -54,8 +55,14 @@ class BurstModel:
     idle_mean_intervals: float = 2.6
 
     def __post_init__(self) -> None:
-        if self.active_mean_intervals < 1.0 or self.idle_mean_intervals < 1.0:
-            raise ConfigError("burst run means must be >= 1 interval")
+        for name in ("active_mean_intervals", "idle_mean_intervals"):
+            value = getattr(self, name)
+            # Written so that NaN and inf fail it: an infinite mean
+            # would draw trials forever.
+            if not 1.0 <= value < math.inf:
+                raise ConfigError(
+                    f"{name} must be >= 1 interval and finite, got {value}"
+                )
 
     @property
     def duty_cycle(self) -> float:
@@ -127,6 +134,7 @@ class TraceGeneratorConfig:
     background_predawn_factor: float = 0.35  # 05:00 - 08:00
 
     def __post_init__(self) -> None:
+        # Each float check is written so that NaN and inf fail it.
         for name in (
             "weekday_absence_probability",
             "lunch_probability",
@@ -137,19 +145,42 @@ class TraceGeneratorConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be a probability, got {value}")
-        if self.arrival_mean_h >= self.departure_mean_h:
-            raise ConfigError("mean arrival must precede mean departure")
-        if self.weekend_max_sessions < 1:
-            raise ConfigError("weekend_max_sessions must be >= 1")
-        if self.background_burst_mean_intervals < 1.0:
-            raise ConfigError("background_burst_mean_intervals must be >= 1")
         for name in (
+            "arrival_mean_h",
+            "departure_mean_h",
+            "lunch_start_mean_h",
+            "lunch_duration_mean_h",
+            "weekend_session_start_low_h",
+            "weekend_session_start_high_h",
+            "weekend_session_duration_mean_h",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        for name in (
+            "arrival_std_h",
+            "departure_std_h",
+            "lunch_start_std_h",
+            "lunch_duration_std_h",
+            "weekend_session_duration_std_h",
             "background_evening_factor",
             "background_night_factor",
             "background_predawn_factor",
         ):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(
+                    f"{name} must be non-negative and finite, got {value}"
+                )
+        if self.arrival_mean_h >= self.departure_mean_h:
+            raise ConfigError("mean arrival must precede mean departure")
+        if self.weekend_max_sessions < 1:
+            raise ConfigError("weekend_max_sessions must be >= 1")
+        if not 1.0 <= self.background_burst_mean_intervals < math.inf:
+            raise ConfigError(
+                "background_burst_mean_intervals must be >= 1 and finite, "
+                f"got {self.background_burst_mean_intervals}"
+            )
 
     def background_weight(self, hour: float) -> float:
         """Hour-of-day multiplier on background activity."""

@@ -1,5 +1,6 @@
 """Synthetic trace generator: structure and configuration."""
 
+import math
 import random
 
 import pytest
@@ -49,6 +50,39 @@ class TestConfigValidation:
     def test_negative_background_factor_rejected(self):
         with pytest.raises(ConfigError):
             TraceGeneratorConfig(background_night_factor=-0.1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("background_burst_mean_intervals", math.inf),
+        ("background_burst_mean_intervals", math.nan),
+        ("arrival_mean_h", math.nan),
+        ("departure_mean_h", math.inf),
+        ("lunch_start_mean_h", math.nan),
+        ("lunch_duration_mean_h", math.inf),
+        ("weekend_session_start_low_h", -math.inf),
+        ("weekend_session_start_high_h", math.nan),
+        ("weekend_session_duration_mean_h", math.inf),
+        ("arrival_std_h", -1.0),
+        ("departure_std_h", math.inf),
+        ("lunch_start_std_h", math.nan),
+        ("lunch_duration_std_h", -0.5),
+        ("weekend_session_duration_std_h", math.inf),
+        ("background_evening_factor", math.nan),
+        ("background_night_factor", math.inf),
+        ("background_predawn_factor", math.nan),
+    ])
+    def test_non_finite_or_negative_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TraceGeneratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("active_mean_intervals", math.inf),
+        ("active_mean_intervals", math.nan),
+        ("idle_mean_intervals", math.inf),
+        ("idle_mean_intervals", math.nan),
+    ])
+    def test_non_finite_burst_mean_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            BurstModel(**{field: value})
 
     def test_background_weight_profile(self):
         config = TraceGeneratorConfig()
