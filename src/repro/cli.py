@@ -54,6 +54,17 @@ def _input_error(path: str, error: Exception) -> ConfigError:
     return ConfigError(f"cannot read {path}: {detail}")
 
 
+def _check_output_path(path: str, what: str) -> None:
+    """Fail before any work, not after it, on a path the command's
+    output cannot be written to."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(directory):
+        raise ConfigError(
+            f"cannot write {what} {path}: not a file path in an existing "
+            "directory"
+        )
+
+
 def _day_type(value: str) -> DayType:
     return DayType(value.lower())
 
@@ -189,14 +200,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print("--trace records a single day: drop --week and --runs",
                   file=sys.stderr)
             return 2
-        # Fail before the day runs, not after it, on a path the trace
-        # cannot be written to.
-        directory = os.path.dirname(args.trace) or "."
-        if os.path.isdir(args.trace) or not os.path.isdir(directory):
-            raise ConfigError(
-                f"cannot write trace {args.trace}: not a file path in an "
-                "existing directory"
-            )
+        _check_output_path(args.trace, "trace")
         from repro.obs import RecordingTracer
 
         tracer = RecordingTracer()
@@ -493,6 +497,7 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     from repro.traces import read_traces_json, write_traces_json
 
     if args.action == "generate":
+        _check_output_path(args.out, "traces")
         ensemble = generate_ensemble(
             args.count, _day_type(args.day), seed=args.seed
         )
