@@ -139,27 +139,43 @@ def fingerprint_from_result(result: FarmResult) -> RunFingerprint:
     )
 
 
+#: Field -> decoder, for every field of a fingerprint payload.
+_FIELD_DECODERS = (
+    ("seed", int),
+    ("policy", str),
+    ("day_type", str),
+    ("total_energy_j", float),
+    ("state_energy_j", _pairs),
+    ("state_time_s", _pairs),
+    ("counters", _pairs),
+    ("faults", _pairs),
+    ("traffic_mib", _pairs),
+    ("network_total_mib", float),
+    ("mean_delay_s", float),
+    ("zero_delay_fraction", float),
+    ("sleep_hist", lambda values: tuple(int(v) for v in values)),
+    ("mean_sleep_fraction", float),
+)
+
+
 def fingerprint_from_dict(payload: Mapping) -> RunFingerprint:
-    """Rebuild a fingerprint from :meth:`RunFingerprint.as_dict` output."""
-    try:
-        return RunFingerprint(
-            seed=int(payload["seed"]),
-            policy=str(payload["policy"]),
-            day_type=str(payload["day_type"]),
-            total_energy_j=float(payload["total_energy_j"]),
-            state_energy_j=_pairs(payload["state_energy_j"]),
-            state_time_s=_pairs(payload["state_time_s"]),
-            counters=_pairs(payload["counters"]),
-            faults=_pairs(payload["faults"]),
-            traffic_mib=_pairs(payload["traffic_mib"]),
-            network_total_mib=float(payload["network_total_mib"]),
-            mean_delay_s=float(payload["mean_delay_s"]),
-            zero_delay_fraction=float(payload["zero_delay_fraction"]),
-            sleep_hist=tuple(int(v) for v in payload["sleep_hist"]),
-            mean_sleep_fraction=float(payload["mean_sleep_fraction"]),
+    """Rebuild a fingerprint from :meth:`RunFingerprint.as_dict` output;
+    a missing or malformed field is a :class:`ConfigError` naming it."""
+    if not isinstance(payload, Mapping):
+        raise ConfigError(
+            f"a fingerprint payload is a mapping, got {type(payload).__name__}"
         )
-    except KeyError as missing:
-        raise ConfigError(f"fingerprint payload missing {missing}") from None
+    fields = {}
+    for name, decode in _FIELD_DECODERS:
+        if name not in payload:
+            raise ConfigError(f"fingerprint payload missing {name!r}")
+        try:
+            fields[name] = decode(payload[name])
+        except (AttributeError, TypeError, ValueError) as error:
+            raise ConfigError(
+                f"malformed fingerprint field {name!r}: {error}"
+            ) from None
+    return RunFingerprint(**fields)
 
 
 def continuous_metrics(fingerprint: RunFingerprint) -> Dict[str, float]:

@@ -385,12 +385,22 @@ def _baseline_day_type(payload: Mapping) -> DayType:
 
 
 def load_baseline(payload: Mapping) -> Dict[str, List[RunFingerprint]]:
-    """Decode a baseline payload into fingerprint ensembles per policy."""
+    """Decode a baseline payload into fingerprint ensembles per policy; a
+    malformed entry is a :class:`ConfigError` naming its policy and
+    field."""
     _check_version(payload)
-    return {
-        name: [fingerprint_from_dict(entry) for entry in entries]
-        for name, entries in _baseline_policies(payload).items()
-    }
+    ensembles = {}
+    for name, entries in _baseline_policies(payload).items():
+        if not isinstance(entries, list):
+            raise ConfigError(
+                f"baseline policy {name!r} must list fingerprints, "
+                f"got {type(entries).__name__}"
+            )
+        try:
+            ensembles[name] = [fingerprint_from_dict(e) for e in entries]
+        except ConfigError as error:
+            raise ConfigError(f"baseline policy {name!r}: {error}") from None
+    return ensembles
 
 
 def baseline_seeds(payload: Mapping) -> List[int]:
@@ -471,8 +481,7 @@ def write_baseline(path: str, payload: Mapping) -> None:
 
 def read_baseline(path: str) -> dict:
     """Read a baseline payload written by :func:`write_baseline`; a
-    malformed field is a :class:`ConfigError` naming it (fingerprints
-    are decoded on use)."""
+    malformed field is a :class:`ConfigError` naming it."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
@@ -480,5 +489,5 @@ def read_baseline(path: str) -> dict:
     baseline_config(payload)
     _baseline_day_type(payload)
     baseline_seeds(payload)
-    _baseline_policies(payload)
+    load_baseline(payload)
     return payload

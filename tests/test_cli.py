@@ -295,6 +295,13 @@ class TestUsageErrors:
          "--baseline", "{tmp}/bad_seeds.json"],
         ["equiv", "compare", "--policy", "Default",
          "--baseline", "{tmp}/policy_list.json"],
+        ["traces", "generate", "--count", "3",
+         "--out", "{tmp}/no/such/dir/x.csv"],
+        ["traces", "generate", "--count", "3", "--out", "{tmp}"],
+        ["equiv", "compare", "--policy", "Default",
+         "--baseline", "{tmp}/policy_int.json"],
+        ["equiv", "compare", "--policy", "Default",
+         "--baseline", "{tmp}/energy_str.json"],
     ])
     def test_bad_file_exits_2_with_one_stderr_line(self, tmp_path, argv):
         (tmp_path / "no_traces.json").write_text('{"users": []}\n')
@@ -314,6 +321,16 @@ class TestUsageErrors:
                 del broken[field]
             else:
                 broken[field] = value
+            (tmp_path / f"{name}.json").write_text(json.dumps(broken))
+        # ... and with one policy's fingerprints broken.
+        defaults = baseline["policies"]["Default"]
+        for name, entries in (
+            ("policy_int", 5),
+            ("energy_str",
+             [dict(defaults[0], total_energy_j="abc")] + defaults[1:]),
+        ):
+            broken = dict(baseline)
+            broken["policies"] = dict(baseline["policies"], Default=entries)
             (tmp_path / f"{name}.json").write_text(json.dumps(broken))
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         completed = _run_cli(argv)

@@ -98,12 +98,19 @@ class TestCommittedBaseline:
         ("seeds", ["x"], "seeds"),
         ("policies", None, "missing 'policies'"),
         ("policies", [], "policies"),
+        ("policies.Default", 5, "'Default'"),
+        ("policies.Default.total_energy_j", "abc",
+         "'Default'.*'total_energy_j'"),
     ])
     def test_a_malformed_field_is_a_config_error_naming_it(
         self, payload, tmp_path, field, value, words
     ):
-        broken = dict(payload)
-        if value is None:
+        broken = json.loads(json.dumps(payload))
+        if field == "policies.Default":
+            broken["policies"]["Default"] = value
+        elif field == "policies.Default.total_energy_j":
+            broken["policies"]["Default"][0]["total_energy_j"] = value
+        elif value is None:
             del broken[field]
         else:
             broken[field] = value
