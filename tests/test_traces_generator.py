@@ -1,4 +1,5 @@
-"""Synthetic trace generator: structure and configuration."""
+"""Synthetic trace generator: structure, configuration, and equality
+with its per-interval reference loops."""
 
 import math
 import random
