@@ -95,7 +95,7 @@ class TestMessageBus:
         a = bus.register("a", lambda s, m: None)
         a.send("b", 1)
         a.send("b", "two")
-        sim.run()
+        sim.advance(1.0)
         assert bus.messages_to("b") == [1, "two"]
         assert bus.messages_of_type(str) == ["two"]
 
@@ -107,7 +107,7 @@ class TestMessageBus:
         a = bus.register("a", lambda s, m: None)
         for value in range(5):
             a.send("b", value)
-        sim.run()
+        sim.advance(1.0)
         assert received == [0, 1, 2, 3, 4]
 
     def test_negative_latency_rejected(self):

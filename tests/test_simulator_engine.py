@@ -15,7 +15,7 @@ class TestScheduling:
         fired = []
         sim.schedule(5.0, fired.append, "late")
         sim.schedule(2.0, fired.append, "early")
-        sim.run()
+        sim.run_until(10.0)
         assert fired == ["early", "late"]
 
     def test_simultaneous_events_fire_fifo(self):
@@ -23,28 +23,28 @@ class TestScheduling:
         fired = []
         for tag in range(5):
             sim.schedule(1.0, fired.append, tag)
-        sim.run()
+        sim.run_until(1.0)
         assert fired == [0, 1, 2, 3, 4]
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
-        sim.schedule(3.5, lambda: None)
-        sim.run()
-        assert sim.now == 3.5
+        seen = []
+        sim.schedule(3.5, lambda: seen.append(sim.now))
+        sim.run_until(10.0)
+        assert seen == [3.5]
 
     def test_callback_can_schedule_more_events(self):
         sim = Simulator()
         fired = []
 
         def chain(n):
-            fired.append(n)
+            fired.append((n, sim.now))
             if n < 3:
                 sim.schedule(1.0, chain, n + 1)
 
         sim.schedule(0.0, chain, 0)
-        sim.run()
-        assert fired == [0, 1, 2, 3]
-        assert sim.now == 3.0
+        sim.run_until(10.0)
+        assert fired == [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)]
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
@@ -53,7 +53,7 @@ class TestScheduling:
     def test_schedule_at_in_past_rejected(self):
         sim = Simulator()
         sim.schedule(10.0, lambda: None)
-        sim.run()
+        sim.run_until(10.0)
         with pytest.raises(SimulationError):
             sim.schedule_at(5.0, lambda: None)
 
@@ -62,7 +62,7 @@ class TestScheduling:
         fired = []
         sim.schedule(0.0, fired.append, "first")
         sim.schedule(0.0, fired.append, "second")
-        sim.run()
+        sim.run_until(0.0)
         assert fired == ["first", "second"]
 
 
@@ -116,14 +116,17 @@ class TestRunUntil:
 
     def test_run_until_leaves_future_events_pending(self):
         sim = Simulator()
-        sim.schedule(10.0, lambda: None)
-        sim.run_until(5.0)
-        assert sim.pending == 1
+        fired = []
+        sim.schedule(10.0, fired.append, "later")
+        assert sim.run_until(5.0) == 0
+        assert fired == []
+        assert sim.run_until(10.0) == 1
+        assert fired == ["later"]
 
     def test_run_until_past_rejected(self):
         sim = Simulator()
         sim.schedule(2.0, lambda: None)
-        sim.run()
+        sim.run_until(2.0)
         with pytest.raises(SimulationError):
             sim.run_until(1.0)
 
@@ -136,6 +139,29 @@ class TestRunUntil:
         sim = Simulator()
         sim.run_until(42.0)
         assert sim.now == 42.0
+
+    def test_zero_delay_event_scheduled_at_horizon_fires_in_same_call(self):
+        sim = Simulator()
+        fired = []
+
+        def at_horizon():
+            fired.append(("edge", sim.now))
+            sim.schedule(0.0, lambda: fired.append(("follow-up", sim.now)))
+
+        sim.schedule(3.0, at_horizon)
+        assert sim.run_until(3.0) == 2
+        assert fired == [("edge", 3.0), ("follow-up", 3.0)]
+        assert sim.now == 3.0
+
+    def test_advance_fires_events_within_the_window(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(4.0, fired.append, "b")
+        assert sim.advance(2.0) == 1
+        assert sim.advance(2.0) == 1
+        assert fired == ["a", "b"]
+        assert sim.now == 4.0
 
 
 class TestGuards:
@@ -176,7 +202,7 @@ class TestGuards:
         sim = Simulator()
         for _ in range(4):
             sim.schedule(1.0, lambda: None)
-        sim.run()
+        sim.run_until(1.0)
         assert sim.events_fired == 4
 
     def test_step_returns_false_when_empty(self):
