@@ -410,8 +410,6 @@ class ProjectContext:
                     if dotted == STREAMS_CLASS:
                         if name == "get":
                             return ("cls", RNG_CLASS)
-                        if name == "spawn":
-                            return ("cls", STREAMS_CLASS)
                     method = self.find_method(dotted, name)
                     if method is not None:
                         return self.functions[method].return_ann

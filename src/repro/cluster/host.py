@@ -130,11 +130,6 @@ class Host:
             raise MigrationError(f"VM {vm_id} is not running on host {self.host_id}")
 
     @property
-    def active_vm_count(self) -> int:
-        """Recomputed on demand; activity flips between attach/detach."""
-        return sum(1 for vm in self._vms.values() if vm.is_active)
-
-    @property
     def full_vm_count(self) -> int:
         return self._full_count
 

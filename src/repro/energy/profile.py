@@ -24,9 +24,6 @@ class HostPowerProfile:
     idle_w: float = 102.2
     #: Additional power per fully-resident VM (from the 20-VM point).
     per_vm_w: float = 1.785
-    #: Optional extra power per *active* VM (CPU load); the paper's Table 1
-    #: does not separate this, so the default is zero.
-    per_active_vm_extra_w: float = 0.0
     #: Power draw while suspending to RAM, and its duration.
     suspend_w: float = 138.2
     suspend_s: float = 3.1
@@ -40,30 +37,24 @@ class HostPowerProfile:
         for name in ("idle_w", "suspend_w", "resume_w", "sleep_w"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("per_vm_w", "per_active_vm_extra_w", "suspend_s", "resume_s"):
+        for name in ("per_vm_w", "suspend_s", "resume_s"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be non-negative")
 
     def powered_watts(
-        self,
-        full_vms: int = 0,
-        active_vms: int = 0,
-        partial_resident_fraction: float = 0.0,
+        self, full_vms: int = 0, partial_resident_fraction: float = 0.0
     ) -> float:
         """Power of a fully-powered host.
 
-        ``full_vms`` counts VMs whose complete memory image is resident;
-        ``active_vms`` of those are actively loaded; and
-        ``partial_resident_fraction`` is the sum over partial VMs of the
-        fraction of their allocation that is resident (e.g. three partial
-        VMs each holding 4% of their memory contribute 0.12).
+        ``full_vms`` counts VMs whose complete memory image is resident,
+        and ``partial_resident_fraction`` is the sum over partial VMs of
+        the fraction of their allocation that is resident (e.g. three
+        partial VMs each holding 4% of their memory contribute 0.12).
         """
-        if full_vms < 0 or active_vms < 0 or partial_resident_fraction < 0.0:
+        if full_vms < 0 or partial_resident_fraction < 0.0:
             raise ConfigError("VM counts must be non-negative")
-        return (
-            self.idle_w
-            + self.per_vm_w * (full_vms + partial_resident_fraction)
-            + self.per_active_vm_extra_w * active_vms
+        return self.idle_w + self.per_vm_w * (
+            full_vms + partial_resident_fraction
         )
 
     @property

@@ -20,18 +20,15 @@ def baseline_energy_joules(
     home_hosts: int,
     vms_per_host: int,
     duration_s: float,
-    mean_active_vms_per_host: float = 0.0,
 ) -> float:
     """Energy of the no-consolidation counterfactual.
 
     Every home host stays powered for ``duration_s`` with ``vms_per_host``
-    fully-resident VMs; ``mean_active_vms_per_host`` only matters when the
-    profile charges an active-VM premium (zero by default, as in Table 1).
+    fully-resident VMs.
     """
     if home_hosts <= 0 or vms_per_host < 0 or duration_s <= 0.0:
         raise ConfigError("baseline needs positive hosts and duration")
     watts = profile.powered_watts(full_vms=vms_per_host)
-    watts += profile.per_active_vm_extra_w * mean_active_vms_per_host
     return home_hosts * watts * duration_s
 
 

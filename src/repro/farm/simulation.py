@@ -261,14 +261,12 @@ class FarmSimulation:
         # Hot-path caches.  The host list is stable (ascending host_id,
         # matching cluster iteration order); the power coefficients feed
         # _refresh_power_now's inlined powered/sleeping formulas, which
-        # mirror HostPowerProfile.powered_watts exactly when the
-        # per-active-VM surcharge is zero (the default).
+        # mirror HostPowerProfile.powered_watts exactly.
         self._all_hosts = self.cluster.hosts
         profile = config.host_power
         self._host_power = profile
         self._power_idle_w = profile.idle_w
         self._power_per_vm_w = profile.per_vm_w
-        self._powered_fast = not (profile.per_active_vm_extra_w > 0.0)
         if config.memory_server_present:
             self._sleep_served_w: Optional[float] = (
                 profile.sleep_w + config.memory_server.total_w
@@ -1355,21 +1353,10 @@ class FarmSimulation:
     def _refresh_power_now(self, host: Host) -> None:
         state = host.power_state
         if state is PowerState.POWERED:
-            if self._powered_fast:
-                # Inlined powered_watts with a zero per-active-VM term:
-                # idle + per_vm * (full + partial_fraction).  Adding the
-                # absent `extra * 0` term would contribute exactly +0.0,
-                # so this is byte-identical to the profile call.
-                watts = self._power_idle_w + self._power_per_vm_w * (
-                    host._full_count + host._partial_fraction
-                )
-            else:
-                profile = self._host_power
-                watts = profile.powered_watts(
-                    full_vms=host.full_vm_count,
-                    active_vms=host.active_vm_count,
-                    partial_resident_fraction=host.partial_resident_fraction,
-                )
+            # Inlined HostPowerProfile.powered_watts.
+            watts = self._power_idle_w + self._power_per_vm_w * (
+                host._full_count + host._partial_fraction
+            )
         elif state is PowerState.SUSPENDING:
             watts = self._host_power.suspend_w
         elif state is PowerState.RESUMING:

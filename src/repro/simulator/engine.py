@@ -8,7 +8,6 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.obs.events import CAT_SIM
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.simulator.events import EventHandle, LabelLike, ScheduledEvent
 
 
 class Simulator:
@@ -22,30 +21,31 @@ class Simulator:
     a ``sim.event`` span (labelled with the event's schedule label), so
     a recorded trace shows the kernel's dispatch timeline with each
     component's own events nested inside.  The default null tracer
-    reduces the hook to one attribute test per event.  Labels may be
-    given as zero-argument callables, which are only invoked when a
-    tracer actually consumes them — hot paths can schedule millions of
-    events without formatting a single label string.
+    reduces the hook to one attribute test per event.
 
-    The heap stores ``(time, seq, event)`` tuples so event ordering is
-    decided by C tuple comparison rather than a Python ``__lt__``.
+    The heap stores plain ``(time, seq, callback, args, label)`` tuples:
+    ``seq`` is unique, so ordering is decided by C tuple comparison on
+    ``(time, seq)`` and scheduling allocates no event object.
 
     Example
     -------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(5.0, fired.append, "a")
-    >>> _ = sim.schedule(2.0, fired.append, "b")
-    >>> sim.run()
+    >>> sim.schedule(5.0, fired.append, "a")
+    >>> sim.schedule(2.0, fired.append, "b")
+    >>> sim.run_until(10.0)
+    2
     >>> fired
     ['b', 'a']
     >>> sim.now
-    5.0
+    10.0
     """
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self._now = 0.0
-        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
+        self._heap: List[
+            Tuple[float, int, Callable[..., None], Tuple[Any, ...], str]
+        ] = []
         self._seq = 0
         self._fired = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -54,11 +54,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def pending(self) -> int:
-        """Number of scheduled events that have not fired or been cancelled."""
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     @property
     def events_fired(self) -> int:
@@ -70,25 +65,25 @@ class Simulator:
         delay: float,
         callback: Callable[..., None],
         *args: Any,
-        label: LabelLike = "",
-    ) -> EventHandle:
+        label: str = "",
+    ) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        ``delay`` must be non-negative; a zero delay runs the callback when
-        the simulator next drains the queue, after events already scheduled
-        for the current instant.
+        ``delay`` must be non-negative; a zero delay runs the callback
+        after events already scheduled for the current instant, within
+        the same :meth:`run_until` call.
         """
         if delay < 0.0:
             raise SimulationError(f"cannot schedule {delay} s in the past")
-        return self.schedule_at(self._now + delay, callback, *args, label=label)
+        self.schedule_at(self._now + delay, callback, *args, label=label)
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[..., None],
         *args: Any,
-        label: LabelLike = "",
-    ) -> EventHandle:
+        label: str = "",
+    ) -> None:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
         if time < self._now:
             raise SimulationError(
@@ -96,80 +91,35 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(
-            time=time, seq=seq, callback=callback, args=args, label=label
-        )
-        heapq.heappush(self._heap, (time, seq, event))
-        return EventHandle(event)
-
-    def step(self) -> bool:
-        """Fire the next pending event.
-
-        Returns ``True`` if an event fired, ``False`` if the queue was
-        empty (cancelled events are discarded silently).
-        """
-        while self._heap:
-            time, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._now = time
-            self._fired += 1
-            if self.tracer.enabled:
-                with self.tracer.span(
-                    "sim.event", CAT_SIM, label=event.resolved_label()
-                ):
-                    event.callback(*event.args)
-            else:
-                event.callback(*event.args)
-            return True
-        return False
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the event queue drains.
-
-        ``max_events`` bounds the number of callbacks executed and guards
-        against runaway self-rescheduling loops: at most ``max_events``
-        callbacks run, and if events are still pending once the bound is
-        reached a :class:`~repro.errors.SimulationError` is raised.
-        Returns the number of events fired by this call.
-        """
-        fired = 0
-        while self.step():
-            fired += 1
-            if max_events is not None and fired >= max_events and self.pending:
-                raise SimulationError(
-                    f"reached max_events={max_events} with events still "
-                    "pending; runaway event loop?"
-                )
-        return fired
+        heapq.heappush(self._heap, (time, seq, callback, args, label))
 
     def run_until(self, time: float) -> int:
         """Run all events scheduled strictly up to and including ``time``.
 
-        The clock is left at ``time`` even if the last event fired earlier,
-        so power-accounting code can close intervals at the horizon.
-        Returns the number of events fired by this call.
+        Events fire in ``(time, seq)`` order, including those their
+        callbacks schedule at or before ``time``.  The clock is left at
+        ``time`` even if the last event fired earlier, so power-accounting
+        code can close intervals at the horizon.  Returns the number of
+        events fired by this call.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot run until {time:.6f} s; clock is at {self._now:.6f} s"
             )
+        heap = self._heap
         fired = 0
-        while self._heap:
-            head_time, _, head_event = self._heap[0]
-            if head_event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if head_time > time:
-                break
-            self.step()
+        while heap and heap[0][0] <= time:
+            self._now, _, callback, args, label = heapq.heappop(heap)
+            self._fired += 1
             fired += 1
+            if self.tracer.enabled:
+                with self.tracer.span("sim.event", CAT_SIM, label=label):
+                    callback(*args)
+            else:
+                callback(*args)
         self._now = time
         return fired
 
     def advance(self, delay: float) -> int:
         """Run events for the next ``delay`` seconds (see :meth:`run_until`)."""
         return self.run_until(self._now + delay)
-
-    def __repr__(self) -> str:
-        return f"<Simulator t={self._now:.3f} pending={self.pending}>"

@@ -55,13 +55,5 @@ class RngStreams:
             self._streams[name] = stream
         return stream
 
-    def spawn(self, name: str) -> "RngStreams":
-        """Create a child family whose root seed is derived from ``name``.
-
-        Useful for giving each of several repeated runs its own fully
-        independent stream family.
-        """
-        return RngStreams(derive_seed(self._seed, name))
-
     def __repr__(self) -> str:
         return f"<RngStreams seed={self._seed} streams={sorted(self._streams)}>"

@@ -8,7 +8,7 @@ used by the prototype micro-benchmarks.
 
 from repro.vm.state import Residency, VmActivity
 from repro.vm.machine import IntervalClock, VirtualMachine
-from repro.vm.workingset import LazyWorkingSet, WorkingSetSampler
+from repro.vm.workingset import WorkingSetSampler
 from repro.vm.workload import (
     Application,
     Workload,
@@ -23,7 +23,6 @@ __all__ = [
     "IntervalClock",
     "VirtualMachine",
     "WorkingSetSampler",
-    "LazyWorkingSet",
     "Application",
     "Workload",
     "WORKLOAD_1",

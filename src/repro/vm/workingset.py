@@ -65,78 +65,3 @@ class WorkingSetSampler:
         """
         return self.mean_mib
 
-
-class LazyWorkingSet:
-    """Closed-form lazy working-set growth with exact eager replay.
-
-    The eager model bumps a partial VM's resident size once per trace
-    interval: ``size = min(size + delta, cap)``.  This class stores only
-    ``(anchor interval, size at anchor, delta, cap)`` and materializes
-    the size at any later interval on demand — no per-interval sweep.
-
-    Materialization **replays the float recurrence step by step** rather
-    than evaluating ``size + n * delta``: repeated float addition and
-    the closed-form product differ in the last ulp, and the simulator's
-    determinism contract is bit-for-bit.  The replay is still closed
-    form in cost: ``min(size + delta, cap)`` pins at ``cap``, so at most
-    ``ceil((cap - size) / delta)`` steps ever run no matter how far the
-    clock jumped — quiet VMs cost O(steps-to-cap) once, not O(elapsed
-    intervals).
-    """
-
-    __slots__ = ("delta_mib", "cap_mib", "_size_mib", "_anchor")
-
-    def __init__(
-        self,
-        initial_mib: float,
-        delta_mib: float,
-        cap_mib: float,
-        anchor_index: int = 0,
-    ) -> None:
-        if not 0.0 <= initial_mib <= cap_mib:
-            raise ConfigError(
-                f"initial working set {initial_mib} MiB outside "
-                f"[0, {cap_mib}]"
-            )
-        if delta_mib < 0.0:
-            raise ConfigError("working-set growth must be non-negative")
-        self.delta_mib = delta_mib
-        self.cap_mib = cap_mib
-        self._size_mib = initial_mib
-        self._anchor = anchor_index
-
-    @property
-    def anchor_index(self) -> int:
-        """Interval index of the last materialization."""
-        return self._anchor
-
-    def size_at(self, index: int) -> float:
-        """Size after ``index`` (MiB) without re-anchoring."""
-        return self._replay(index)
-
-    def advance_to(self, index: int) -> float:
-        """Materialize at ``index``, re-anchor there, return the size."""
-        size = self._replay(index)
-        self._size_mib = size
-        self._anchor = index
-        return size
-
-    def _replay(self, index: int) -> float:
-        anchor = self._anchor
-        if index < anchor:
-            raise ConfigError(
-                f"cannot materialize interval {index}: already anchored "
-                f"at {anchor}"
-            )
-        size = self._size_mib
-        delta = self.delta_mib
-        if delta <= 0.0:
-            return size
-        cap = self.cap_mib
-        for _ in range(index - anchor):
-            if size >= cap:
-                break
-            size += delta
-            if size > cap:
-                size = cap
-        return size

@@ -2,7 +2,6 @@
 
 from repro.cluster import PowerState
 from repro.core import FULL_TO_PARTIAL, ONLY_PARTIAL
-from repro.energy import HostPowerProfile
 from repro.farm import FarmConfig, FarmSimulation
 from repro.traces import DayType, TraceEnsemble, UserDayTrace
 from repro.units import INTERVALS_PER_DAY
@@ -111,22 +110,6 @@ class TestPlanningInterval:
         assert (
             sparse.counters.partial_migrations
             <= eager.counters.partial_migrations
-        )
-
-
-class TestActiveVmPowerPremium:
-    def test_extra_watts_for_active_vms_raise_energy(self):
-        users = [bits(range(0, 144)) for _ in range(4)]  # busy half-day
-        base = FarmSimulation(
-            tiny(), FULL_TO_PARTIAL, ensemble(users), seed=0
-        ).run()
-        premium_profile = HostPowerProfile(per_active_vm_extra_w=5.0)
-        premium = FarmSimulation(
-            tiny(host_power=premium_profile), FULL_TO_PARTIAL,
-            ensemble(users), seed=0,
-        ).run()
-        assert (
-            premium.energy.managed_joules > base.energy.managed_joules
         )
 
 

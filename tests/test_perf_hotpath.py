@@ -1,10 +1,11 @@
-"""Hot-path machinery: lazy labels, __slots__, index/lazy-ws batteries.
+"""Hot-path machinery: activation labels, __slots__, index batteries.
 
-Covers the ISSUE 5 satellite checklist: schedule labels must cost
-nothing when no tracer consumes them, the hot per-VM/per-host/per-event
-objects must reject stray attributes, and randomized property batteries
-must show the incremental indexes and the lazy working-set
-materialization agree exactly with from-scratch recomputation.
+The farm formats no per-activation label string unless a tracer
+records it, the hot per-VM/per-host/per-migration objects reject stray
+attributes, and randomized property batteries show the incremental
+indexes agree exactly with from-scratch recomputation, at every
+mutation and, under ``REPRO_DEBUG_INDEXES``, at every interval of a
+farm day.
 """
 
 import random
@@ -15,18 +16,15 @@ from repro.cluster import Cluster, Host, HostRole, PowerState
 from repro.core import FULL_TO_PARTIAL
 from repro.core.placement import _ShadowCapacity
 from repro.core.plan import MigrationMode, PlannedMigration
-from repro.errors import ConfigError
 from repro.farm import FarmConfig, FarmSimulation
 from repro.faults import fault_profile_by_name
 from repro.migration.traffic import TrafficLedger
 from repro.obs.tracer import RecordingTracer
-from repro.simulator.engine import Simulator
-from repro.simulator.events import ScheduledEvent
 from repro.traces import DayType, TraceEnsemble, UserDayTrace
 from repro.traces.edges import ActivityEdgeSchedule
 from repro.traces.sampler import generate_ensemble
 from repro.units import INTERVALS_PER_DAY
-from repro.vm import IntervalClock, LazyWorkingSet, VirtualMachine
+from repro.vm import IntervalClock, VirtualMachine
 from repro.vm.state import Residency
 
 
@@ -42,35 +40,11 @@ def small_ensemble(users, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Satellite: lazy schedule labels
+# Activation labels
 # ---------------------------------------------------------------------------
 
 
 class TestLazyLabels:
-    def test_callable_label_never_invoked_without_tracer(self):
-        sim = Simulator()
-        calls = []
-
-        def label():
-            calls.append(1)
-            return "expensive"
-
-        sim.schedule(1.0, lambda: None, label=label)
-        sim.run()
-        assert calls == []
-
-    def test_callable_label_resolved_for_enabled_tracer(self):
-        sim = Simulator(tracer=RecordingTracer())
-        calls = []
-
-        def label():
-            calls.append(1)
-            return "expensive"
-
-        sim.schedule(1.0, lambda: None, label=label)
-        sim.run()
-        assert calls == [1]
-
     def test_farm_builds_no_activation_labels_untraced(self):
         config = FarmConfig(
             home_hosts=2, consolidation_hosts=1, vms_per_host=2
@@ -83,7 +57,7 @@ class TestLazyLabels:
 
         def recording_schedule(delay, callback, *args, label=""):
             seen.append(label)
-            return inner(delay, callback, *args, label=label)
+            inner(delay, callback, *args, label=label)
 
         simulation.sim.schedule = recording_schedule
         simulation.run()
@@ -103,18 +77,15 @@ class TestLazyLabels:
 
         def recording_schedule(delay, callback, *args, label=""):
             seen.append(label)
-            return inner(delay, callback, *args, label=label)
+            inner(delay, callback, *args, label=label)
 
         simulation.sim.schedule = recording_schedule
         simulation.run()
-        assert any(
-            isinstance(label, str) and label.startswith("activate-")
-            for label in seen
-        )
+        assert any(label.startswith("activate-") for label in seen)
 
 
 # ---------------------------------------------------------------------------
-# Satellite: __slots__ on hot objects
+# __slots__ on hot objects
 # ---------------------------------------------------------------------------
 
 
@@ -123,12 +94,10 @@ class TestSlotsRejectStrayAttributes:
         clock = IntervalClock()
         vm = VirtualMachine(0, 0)
         host = Host(0, HostRole.COMPUTE, 4096.0)
-        event = ScheduledEvent(0.0, 0, lambda: None)
         ledger = TrafficLedger()
-        lazy = LazyWorkingSet(100.0, 1.0, 4096.0)
         migration = PlannedMigration(1, 0, 5, MigrationMode.FULL)
         shadow = _ShadowCapacity(Cluster(1, 1, 4096.0))
-        return [clock, vm, host, event, ledger, lazy, migration, shadow]
+        return [clock, vm, host, ledger, migration, shadow]
 
     def test_all_hot_classes_use_slots(self):
         for obj in self.instances():
@@ -141,7 +110,7 @@ class TestSlotsRejectStrayAttributes:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: randomized property batteries
+# Randomized property batteries
 # ---------------------------------------------------------------------------
 
 
@@ -194,44 +163,6 @@ class TestIndexBattery:
                     host.complete_resume()
             cluster.verify_indexes()
             cluster.check_invariants()
-
-
-class TestLazyWorkingSetBattery:
-    """Lazy materialization equals eager per-interval accumulation at
-    every sample point, for 100 randomized growth configurations."""
-
-    @pytest.mark.parametrize("seed", range(100))
-    def test_lazy_equals_eager_everywhere(self, seed):
-        rng = random.Random(seed)
-        cap = rng.uniform(64.0, 4096.0)
-        initial = rng.uniform(0.0, cap)
-        delta = rng.choice([0.0, rng.uniform(0.01, cap / 10.0)])
-        horizon = rng.randint(1, INTERVALS_PER_DAY)
-
-        lazy = LazyWorkingSet(initial, delta, cap)
-        mutating = LazyWorkingSet(initial, delta, cap)
-        eager = initial
-        for index in range(1, horizon + 1):
-            eager = min(eager + delta, cap)  # the replaced recurrence
-            assert lazy.size_at(index) == eager
-            if rng.random() < 0.2:
-                # Re-anchoring mid-stream must not perturb the replay.
-                assert mutating.advance_to(index) == eager
-        assert mutating.size_at(horizon) == eager
-
-    def test_materializing_backwards_is_rejected(self):
-        lazy = LazyWorkingSet(10.0, 1.0, 100.0)
-        lazy.advance_to(7)
-        with pytest.raises(ConfigError):
-            lazy.size_at(6)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            LazyWorkingSet(-1.0, 1.0, 100.0)
-        with pytest.raises(ConfigError):
-            LazyWorkingSet(200.0, 1.0, 100.0)
-        with pytest.raises(ConfigError):
-            LazyWorkingSet(10.0, -1.0, 100.0)
 
 
 class TestEdgeScheduleBattery:

@@ -66,37 +66,6 @@ class TestScheduling:
         assert fired == ["first", "second"]
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(1.0, fired.append, "x")
-        handle.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert handle.cancelled
-
-    def test_pending_counts_exclude_cancelled(self):
-        sim = Simulator()
-        keep = sim.schedule(1.0, lambda: None)
-        drop = sim.schedule(2.0, lambda: None)
-        drop.cancel()
-        assert sim.pending == 1
-        assert not keep.cancelled
-
-    def test_handle_reports_time_and_label(self):
-        sim = Simulator()
-        handle = sim.schedule(4.0, lambda: None, label="tick")
-        assert handle.time == 4.0
-        assert handle.label == "tick"
-
-
 class TestRunUntil:
     def test_run_until_stops_at_horizon(self):
         sim = Simulator()
@@ -165,45 +134,9 @@ class TestRunUntil:
 
 
 class TestGuards:
-    def test_max_events_guards_runaway_loops(self):
-        sim = Simulator()
-
-        def forever():
-            sim.schedule(0.0, forever)
-
-        sim.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
-
-    def test_max_events_executes_exactly_the_bound(self):
-        # Regression: the guard used to check *after* executing, so
-        # max_events=N let N+1 callbacks run before raising.
-        sim = Simulator()
-        executed = []
-
-        def forever():
-            executed.append(sim.now)
-            sim.schedule(0.0, forever)
-
-        sim.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
-        assert len(executed) == 100
-
-    def test_max_events_equal_to_queue_size_completes(self):
-        sim = Simulator()
-        fired = []
-        for index in range(5):
-            sim.schedule(float(index), fired.append, index)
-        assert sim.run(max_events=5) == 5
-        assert fired == [0, 1, 2, 3, 4]
-
     def test_events_fired_counter(self):
         sim = Simulator()
         for _ in range(4):
             sim.schedule(1.0, lambda: None)
         sim.run_until(1.0)
         assert sim.events_fired == 4
-
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False

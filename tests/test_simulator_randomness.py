@@ -45,13 +45,3 @@ class TestRngStreams:
         mixed.get("other").random()  # extra stream created first
         assert mixed.get("primary").random() == value_without
 
-    def test_spawn_creates_independent_family(self):
-        root = RngStreams(5)
-        child = root.spawn("run-1")
-        assert child.seed != root.seed
-        assert child.get("a").random() != root.get("a").random()
-
-    def test_spawn_deterministic(self):
-        a = RngStreams(5).spawn("run-1")
-        b = RngStreams(5).spawn("run-1")
-        assert a.seed == b.seed
