@@ -443,19 +443,33 @@ def _cmd_micro(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_report(path: str) -> dict:
+    """A perfbench report read and validated before any case runs."""
+    from repro.perfbench import load_report, validate_report
+
+    try:
+        report = load_report(path)
+        validate_report(report)
+    except (OSError, ValueError, ConfigError) as error:
+        raise _input_error(path, error) from error
+    return report
+
+
 def _cmd_perfbench(args: argparse.Namespace) -> int:
     import time
 
     from repro.perfbench import (
         attach_baseline,
         check_regression,
-        load_report,
         render_case_table,
         run_perfbench,
         validate_report,
         write_report,
     )
 
+    _check_output_path(args.out, "report")
+    baseline = _read_report(args.baseline) if args.baseline else None
+    committed = _read_report(args.check) if args.check else None
     # The perfbench package sits inside the DET checker scope, so it
     # never reads the wall clock itself; the CLI injects it here.
     clock = time.perf_counter
@@ -463,12 +477,8 @@ def _cmd_perfbench(args: argparse.Namespace) -> int:
     report, profile_text = run_perfbench(
         clock, quick=args.quick, profile_top=profile_top
     )
-    if args.baseline:
-        try:
-            report = attach_baseline(report, load_report(args.baseline))
-        except OSError as error:
-            print(f"cannot read baseline: {error}", file=sys.stderr)
-            return 2
+    if baseline is not None:
+        report = attach_baseline(report, baseline)
     validate_report(report)
     write_report(report, args.out)
     print(render_case_table(report))
@@ -476,13 +486,7 @@ def _cmd_perfbench(args: argparse.Namespace) -> int:
     if profile_text:
         print()
         print(profile_text, end="")
-    if args.check:
-        try:
-            committed = load_report(args.check)
-            validate_report(committed)
-        except OSError as error:
-            print(f"cannot read committed baseline: {error}", file=sys.stderr)
-            return 2
+    if committed is not None:
         failures = check_regression(report, committed, limit=args.check_limit)
         if failures:
             for failure in failures:
@@ -545,6 +549,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         write_baseline,
     )
 
+    if args.action != "baseline" and args.report:
+        _check_output_path(args.report, "report")
     runner = _make_runner(args.workers)
     if args.action == "selftest":
         mutants = args.mutants.split(",") if args.mutants else None
@@ -567,6 +573,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
             print(f"wrote {args.report}")
         return 0 if report.passed else 1
     if args.action == "baseline":
+        _check_output_path(args.out, "baseline")
         payload = build_baseline(
             _equiv_config(args),
             args.policies.split(","),

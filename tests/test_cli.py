@@ -302,6 +302,23 @@ class TestUsageErrors:
          "--baseline", "{tmp}/policy_int.json"],
         ["equiv", "compare", "--policy", "Default",
          "--baseline", "{tmp}/energy_str.json"],
+        # Checked before any case or ensemble runs.
+        ["perfbench", "--quick", "--no-profile", "--out", "{tmp}/o.json",
+         "--baseline", "{tmp}/not_json.json"],
+        ["perfbench", "--quick", "--no-profile",
+         "--out", "{tmp}/no/such/dir/x.json"],
+        ["perfbench", "--quick", "--no-profile", "--out", "{tmp}/o.json",
+         "--check", "{tmp}/missing.json"],
+        ["perfbench", "--quick", "--no-profile", "--out", "{tmp}/o.json",
+         "--check", "{tmp}/no_traces.json"],
+        ["equiv", "baseline", "--policies", "Default", "--ensemble-size",
+         "1", "--home-hosts", "2", "--consolidation-hosts", "1",
+         "--vms-per-host", "2", "--out", "{tmp}/no/such/dir/b.json"],
+        ["equiv", "selftest", "--mutants", "identity", "--ensemble-size",
+         "2", "--home-hosts", "2", "--consolidation-hosts", "1",
+         "--vms-per-host", "2", "--report", "{tmp}/no/such/dir/r.json"],
+        ["equiv", "compare", "--baseline", EQUIV_BASELINE_PATH,
+         "--policy", "Default", "--report", "{tmp}/no/such/dir/r.json"],
     ])
     def test_bad_file_exits_2_with_one_stderr_line(self, tmp_path, argv):
         (tmp_path / "no_traces.json").write_text('{"users": []}\n')
