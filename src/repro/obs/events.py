@@ -15,6 +15,7 @@ scalars so the JSONL export is lossless and byte-stable.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Union
 
@@ -39,6 +40,12 @@ _PHASES = (PHASE_INSTANT, PHASE_BEGIN, PHASE_END)
 
 #: JSON-scalar argument types allowed on events.
 ArgValue = Union[str, int, float, bool]
+
+#: A JSONL record's required fields and their converters, in
+#: constructor order.
+_RECORD_FIELDS = (
+    ("seq", int), ("time_s", float), ("name", str), ("cat", str), ("ph", str),
+)
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,7 @@ class TraceEvent:
             if not isinstance(value, (str, int, float, bool)):
                 raise ObservabilityError(
                     f"event {self.name!r} arg {key!r} is not a JSON "
-                    f"scalar: {value!r}"
+                    f"scalar: {reprlib.repr(value)}"
                 )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -84,17 +91,32 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "TraceEvent":
-        """Rebuild an event from a JSONL record (summarizer input)."""
-        try:
-            return cls(
-                seq=int(record["seq"]),
-                time_s=float(record["time_s"]),
-                name=str(record["name"]),
-                category=str(record["cat"]),
-                phase=str(record["ph"]),
-                args=dict(record.get("args", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+        """Rebuild an event from a JSONL record (summarizer input).
+
+        A record that is not an event is an error naming its missing or
+        malformed field and the record's keys, never the record itself:
+        a whole JSON document on one line is a "record" too.
+        """
+        if not isinstance(record, Mapping):
             raise ObservabilityError(
-                f"malformed trace record {record!r}: {exc}"
-            ) from None
+                f"malformed trace record: a JSON {type(record).__name__}, "
+                "not an object"
+            )
+        missing = [key for key, _ in _RECORD_FIELDS if key not in record]
+        if missing:
+            raise ObservabilityError(
+                f"malformed trace record: missing "
+                f"{', '.join(map(repr, missing))} "
+                f"(its keys: {reprlib.repr(list(record))})"
+            )
+        values = []
+        for key, convert in _RECORD_FIELDS + (("args", dict),):
+            value = record.get(key, {})
+            try:
+                values.append(convert(value))
+            except (TypeError, ValueError):
+                raise ObservabilityError(
+                    f"malformed trace record: {key!r} is not a valid "
+                    f"{convert.__name__}: {reprlib.repr(value)}"
+                ) from None
+        return cls(*values)

@@ -258,6 +258,27 @@ class TestJsonlExport:
         with pytest.raises(TraceFormatError, match=r"bad\.jsonl:1"):
             read_jsonl(str(path))
 
+    def test_chrome_document_is_named_not_echoed(self, tmp_path):
+        # A Chrome trace is one JSON object on one line, so read_jsonl
+        # sees the whole document as a single record.
+        from repro.core import FULL_TO_PARTIAL
+        from repro.farm import FarmConfig, simulate_day
+        from repro.traces import DayType
+
+        tracer = RecordingTracer()
+        simulate_day(
+            FarmConfig(home_hosts=2, consolidation_hosts=1, vms_per_host=2),
+            FULL_TO_PARTIAL, DayType.WEEKDAY, seed=1, tracer=tracer,
+        )
+        path = tmp_path / "day.json"
+        write_chrome_trace(tracer.events, str(path))
+        assert path.stat().st_size > 100_000
+        with pytest.raises(TraceFormatError) as raised:
+            read_jsonl(str(path))
+        message = str(raised.value)
+        assert "'time_s'" in message
+        assert len(message) < 200, message
+
     def test_read_skips_blank_lines(self, tmp_path):
         event = make_event()
         path = tmp_path / "gaps.jsonl"
