@@ -384,23 +384,29 @@ def _baseline_day_type(payload: Mapping) -> DayType:
         ) from None
 
 
+def _decode_policy(name: str, entries: object) -> List[RunFingerprint]:
+    """One policy's fingerprint ensemble; a malformed entry is a
+    :class:`ConfigError` naming the policy and field."""
+    if not isinstance(entries, list):
+        raise ConfigError(
+            f"baseline policy {name!r} must list fingerprints, "
+            f"got {type(entries).__name__}"
+        )
+    try:
+        return [fingerprint_from_dict(entry) for entry in entries]
+    except ConfigError as error:
+        raise ConfigError(f"baseline policy {name!r}: {error}") from None
+
+
 def load_baseline(payload: Mapping) -> Dict[str, List[RunFingerprint]]:
     """Decode a baseline payload into fingerprint ensembles per policy; a
     malformed entry is a :class:`ConfigError` naming its policy and
     field."""
     _check_version(payload)
-    ensembles = {}
-    for name, entries in _baseline_policies(payload).items():
-        if not isinstance(entries, list):
-            raise ConfigError(
-                f"baseline policy {name!r} must list fingerprints, "
-                f"got {type(entries).__name__}"
-            )
-        try:
-            ensembles[name] = [fingerprint_from_dict(e) for e in entries]
-        except ConfigError as error:
-            raise ConfigError(f"baseline policy {name!r}: {error}") from None
-    return ensembles
+    return {
+        name: _decode_policy(name, entries)
+        for name, entries in _baseline_policies(payload).items()
+    }
 
 
 def baseline_seeds(payload: Mapping) -> List[int]:
@@ -445,19 +451,18 @@ def compare_to_baseline(
     farm, not a variant of the engine.
     """
     name = resolve_strategy(policy).name
-    ensembles = load_baseline(payload)
     recorded = _farm_shape(baseline_config(payload))
     if _farm_shape(config) != recorded:
         raise ConfigError(
             f"baseline was recorded on farm {recorded}; "
             f"the config's farm is {_farm_shape(config)}"
         )
-    baseline = ensembles.get(name)
-    if baseline is None:
+    policies = _baseline_policies(payload)
+    if name not in policies:
         raise ConfigError(
-            f"baseline has no policy {name!r}; it covers "
-            f"{sorted(ensembles)}"
+            f"baseline has no policy {name!r}; it covers {sorted(policies)}"
         )
+    baseline = _decode_policy(name, policies[name])
     day_type = _baseline_day_type(payload)
     seeds = baseline_seeds(payload)
     current = run_reference_ensemble(

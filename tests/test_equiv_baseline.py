@@ -91,6 +91,23 @@ class TestCommittedBaseline:
             "the reference engine drifted from its own committed baseline"
         )
 
+    def test_compare_decodes_only_the_compared_policy(
+        self, payload, monkeypatch
+    ):
+        from repro.equiv import harness
+
+        calls = []
+
+        def counting(entry):
+            calls.append(entry)
+            return decode(entry)
+
+        decode = harness.fingerprint_from_dict
+        monkeypatch.setattr(harness, "fingerprint_from_dict", counting)
+        compare_to_baseline(payload, FarmConfig(**FARM_SHAPE), "Default")
+        assert len(calls) == EQUIV_ENSEMBLE_SIZE
+        assert calls == payload["policies"]["Default"]
+
     @pytest.mark.parametrize("field,value,words", [
         ("day_type", None, "missing 'day_type'"),
         ("day_type", "holiday", "day_type"),
