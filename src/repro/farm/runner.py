@@ -44,8 +44,7 @@ from repro.core.strategies import PolicyLike, resolve_strategy
 from repro.errors import ConfigError, WorkerLostError
 from repro.farm.config import FarmConfig
 from repro.farm.metrics import FarmResult
-from repro.farm.simulation import FarmSimulation
-from repro.simulator.randomness import RngStreams
+from repro.farm.simulation import FarmSimulation, derive_trace_seed
 from repro.traces.model import DayType
 from repro.traces.sampler import TraceEnsemble, generate_ensemble
 
@@ -84,7 +83,7 @@ class RunSpec:
     @property
     def trace_seed(self) -> int:
         """The trace-draw seed; identical to :func:`simulate_day`'s."""
-        return RngStreams(self.seed).get("traces").randrange(2**31)
+        return derive_trace_seed(self.seed)
 
     def ensemble_key(self) -> Tuple:
         """What the trace ensemble depends on — and nothing else."""

@@ -1410,6 +1410,11 @@ class FarmSimulation:
         self._finished = True
 
 
+def derive_trace_seed(seed: int) -> int:
+    """The seed of the trace ensemble a day run at ``seed`` draws."""
+    return RngStreams(seed).get("traces").randrange(2**31)
+
+
 def simulate_day(
     config: FarmConfig,
     policy: PolicyLike,
@@ -1423,7 +1428,7 @@ def simulate_day(
         ensemble = generate_ensemble(
             config.total_vms,
             day_type,
-            seed=RngStreams(seed).get("traces").randrange(2**31),
+            seed=derive_trace_seed(seed),
             config=config.traces,
         )
     return FarmSimulation(

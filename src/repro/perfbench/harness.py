@@ -31,10 +31,9 @@ from repro.core import policy_by_name
 from repro.errors import ConfigError
 from repro.farm.config import FarmConfig
 from repro.farm.runner import SweepRunner, clear_ensemble_cache
-from repro.farm.simulation import FarmSimulation
+from repro.farm.simulation import FarmSimulation, derive_trace_seed
 from repro.farm.sweep import repetition_specs
 from repro.farm.zones import simulate_zoned_day
-from repro.simulator.randomness import RngStreams
 from repro.traces.model import DayType
 from repro.traces.sampler import TraceEnsemble, generate_ensemble
 from repro.units import INTERVALS_PER_DAY
@@ -179,16 +178,11 @@ def fullscale_cases() -> List[BenchCase]:
     ]
 
 
-def _trace_seed(seed: int) -> int:
-    """Identical derivation to :func:`repro.farm.simulate_day`."""
-    return RngStreams(seed).get("traces").randrange(2**31)
-
-
 def _build_ensemble(case: BenchCase, config: FarmConfig) -> TraceEnsemble:
     return generate_ensemble(
         config.total_vms,
         DayType(case.day),
-        seed=_trace_seed(case.seed),
+        seed=derive_trace_seed(case.seed),
         config=config.traces,
     )
 
