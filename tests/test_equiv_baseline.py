@@ -96,13 +96,13 @@ class TestCommittedBaseline:
     ):
         from repro.equiv import harness
 
+        decode = harness.fingerprint_from_dict
         calls = []
 
         def counting(entry):
             calls.append(entry)
             return decode(entry)
 
-        decode = harness.fingerprint_from_dict
         monkeypatch.setattr(harness, "fingerprint_from_dict", counting)
         compare_to_baseline(payload, FarmConfig(**FARM_SHAPE), "Default")
         assert len(calls) == EQUIV_ENSEMBLE_SIZE
