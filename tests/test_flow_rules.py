@@ -22,9 +22,12 @@ from repro.checkers import (
     rules_by_id,
 )
 from repro.checkers.driver import read_source
+from repro.checkers.flow.descriptors import TRACER_METHODS
 from repro.checkers.flow.project import ProjectContext
 from repro.checkers.flow.rules_enc import INDEX_SPECS
+from repro.checkers.flow.rules_trc import _STATE_ATTRS, _STATE_METHODS
 from repro.checkers.flow.summary import summarize_tree
+from repro.obs.tracer import RecordingTracer, Tracer
 
 
 def build_ctx(modules):
@@ -353,7 +356,23 @@ class TestEncPack:
         assert found == [("ENC202", "src/repro/cluster/host.py", 7)]
 
 
+def public_members(obj):
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
 class TestTrcPack:
+    def test_vocabulary_matches_the_tracer(self):
+        # The linter keeps its own lists of the tracer's members; this
+        # pins them to the tracer, so a member added or removed there
+        # cannot leave TRC301/TRC303 checking a stale surface.
+        assert TRACER_METHODS == {
+            name for name in public_members(Tracer)
+            if callable(getattr(Tracer, name))
+        }
+        assert _STATE_ATTRS | _STATE_METHODS == (
+            public_members(RecordingTracer()) - public_members(Tracer)
+        )
+
     def test_trc301_emission_result_feeds_value(self):
         ctx = build_ctx(
             {
