@@ -463,11 +463,13 @@ def _cmd_perfbench(args: argparse.Namespace) -> int:
         check_regression,
         render_case_table,
         run_perfbench,
+        validate_limit,
         validate_report,
         write_report,
     )
 
     _check_output_path(args.out, "report")
+    validate_limit(args.check_limit)
     baseline = _read_report(args.baseline) if args.baseline else None
     committed = _read_report(args.check) if args.check else None
     # The perfbench package sits inside the DET checker scope, so it

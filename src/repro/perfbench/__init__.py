@@ -32,6 +32,7 @@ from repro.perfbench.report import (
     load_report,
     render_case_table,
     strip_timings,
+    validate_limit,
     validate_report,
     write_report,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "load_report",
     "render_case_table",
     "strip_timings",
+    "validate_limit",
     "validate_report",
     "write_report",
 ]

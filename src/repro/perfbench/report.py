@@ -18,6 +18,7 @@ reintroduction.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
@@ -29,6 +30,7 @@ __all__ = [
     "load_report",
     "render_case_table",
     "strip_timings",
+    "validate_limit",
     "validate_report",
     "write_report",
 ]
@@ -124,6 +126,15 @@ def attach_baseline(
     return merged
 
 
+def validate_limit(limit: float) -> None:
+    """Reject a regression limit that cannot gate: at most 1.0, NaN
+    (which every comparison lets through) or infinite."""
+    if not 1.0 < limit < math.inf:
+        raise ConfigError(
+            f"regression limit must be a finite factor > 1.0, got {limit}"
+        )
+
+
 def check_regression(
     report: Dict[str, object],
     baseline_report: Dict[str, object],
@@ -131,8 +142,7 @@ def check_regression(
 ) -> List[str]:
     """Failure messages for every shared case that got > ``limit``×
     slower than the baseline; empty list means the gate passes."""
-    if limit <= 1.0:
-        raise ConfigError(f"regression limit must be > 1.0, got {limit}")
+    validate_limit(limit)
     current_cases = report.get("cases", {})
     baseline_cases = baseline_report.get("cases", {})
     assert isinstance(current_cases, dict)

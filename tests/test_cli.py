@@ -12,6 +12,12 @@ from repro.cli import build_parser, main
 from tests.golden.update_goldens import EQUIV_BASELINE_PATH
 from tests.test_farm_runner import needs_fork
 
+#: The committed perfbench report CI's perf gate checks against.
+BENCH_HOTPATH_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "BENCH_hotpath.json",
+)
+
 
 def _run_cli(argv, launcher=("-m", "repro")):
     """Run ``python -m repro`` in a child process, as a user would."""
@@ -278,6 +284,25 @@ class TestUsageErrors:
             f"budget_w must be positive and finite, got {budget}"
         ]
         assert completed.stdout == ""
+
+    @pytest.mark.parametrize("limit", ["1.0", "nan", "inf"])
+    def test_check_limit_that_cannot_gate_exits_2_before_any_case(
+        self, tmp_path, limit
+    ):
+        # NaN and inf pass every "slower than limit x baseline" test, so
+        # either would switch the gate off.
+        out = tmp_path / "x.json"
+        completed = _run_cli([
+            "perfbench", "--quick", "--no-profile", "--out", str(out),
+            "--check", BENCH_HOTPATH_PATH, "--check-limit", limit,
+        ])
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.splitlines() == [
+            f"regression limit must be a finite factor > 1.0, got {limit}"
+        ]
+        assert completed.stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["traces", "stats", "--file", "{tmp}/missing.csv"],
