@@ -631,6 +631,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except (TraceFormatError, json.JSONDecodeError, OSError) as error:
         print(f"invalid trace: {error}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as error:
+        # The codec names the offending byte but not the file.
+        print(f"invalid trace: {args.file}: {error}", file=sys.stderr)
+        return 1
     try:
         print(report)
     except BrokenPipeError:

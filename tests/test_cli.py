@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.obs import read_jsonl, timeline_summary
 from tests.golden.update_goldens import EQUIV_BASELINE_PATH
 from tests.test_farm_runner import needs_fork
 
@@ -175,6 +176,43 @@ class TestTracesCommands:
         assert out_file.read_text().lstrip().startswith("{")
         assert main(["traces", "stats", "--file", str(out_file)]) == 0
         assert "users=12" in capsys.readouterr().out
+
+
+class TestTraceCommand:
+    FARM = ["--home-hosts", "2", "--consolidation-hosts", "1",
+            "--vms-per-host", "2"]
+
+    def test_simulate_trace_then_summarize_and_validate(
+        self, tmp_path, capsys
+    ):
+        jsonl = str(tmp_path / "day.jsonl")
+        chrome = str(tmp_path / "day.json")
+        assert main(["simulate", *self.FARM, "--trace", jsonl]) == 0
+        assert main(["simulate", *self.FARM, "--trace", chrome,
+                     "--trace-format", "chrome"]) == 0
+        capsys.readouterr()
+        assert main(["trace", "summarize", jsonl]) == 0
+        summary = capsys.readouterr().out
+        assert summary == timeline_summary(read_jsonl(jsonl)) + "\n"
+        assert "power transitions:" in summary
+        for path in (jsonl, chrome):
+            assert main(["trace", "validate", path]) == 0
+            assert capsys.readouterr().out.startswith("OK: ")
+
+    @pytest.mark.parametrize("action,name", [
+        ("summarize", "x.jsonl"),
+        ("validate", "x.jsonl"),
+        ("validate", "x.json"),
+    ])
+    def test_non_utf8_file_is_one_stderr_line(self, tmp_path, action, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe\x00bad")
+        completed = _run_cli(["trace", action, str(path)])
+        assert completed.returncode == 1
+        assert "Traceback" not in completed.stderr
+        assert len(completed.stderr.splitlines()) == 1, completed.stderr
+        assert completed.stderr.startswith(f"invalid trace: {path}: ")
+        assert completed.stdout == ""
 
 
 class TestSimulateCommand:
