@@ -90,9 +90,7 @@ MUTATING_METHODS = frozenset(
 )
 
 #: The emission surface of :class:`repro.obs.tracer.Tracer`.
-TRACER_METHODS = frozenset(
-    {"counter", "event", "gauge", "observe", "set_clock", "span"}
-)
+TRACER_METHODS = frozenset({"event", "set_clock", "span"})
 
 
 def eval_expr(node: ast.AST, env: Dict[str, Desc], depth: int = 0) -> Desc:

@@ -51,7 +51,6 @@ from repro.checkers.flow.summary import (
 RNG_CLASS = "random.Random"
 STREAMS_CLASS = "repro.simulator.randomness.RngStreams"
 TRACER_BASE = "repro.obs.tracer.Tracer"
-METRICS_CLASS = "repro.obs.metrics.MetricsRegistry"
 
 #: A function's identity: ``(module, qualname)``.
 FuncKey = Tuple[str, str]
@@ -212,7 +211,7 @@ class ProjectContext:
         return None
 
     def is_tracer_class(self, dotted: str) -> bool:
-        return dotted in self._tracer_classes or dotted == METRICS_CLASS
+        return dotted in self._tracer_classes
 
     def _resolve_name_target(
         self, module: str, desc: Desc

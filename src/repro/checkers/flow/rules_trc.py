@@ -1,15 +1,15 @@
 """TRC3xx: trace purity — observability may watch, never steer.
 
-The tracer/metrics layer exists so a traced run and an untraced run are
+The tracer layer exists so a traced run and an untraced run are
 byte-identical.  That holds only if simulation code treats the tracer as
 a sink: emission calls return nothing the simulation consumes, no draw
 happens under a tracing guard (FLOW103's job), and tracer-side state
-(recorded events, metric values, span clocks) never flows back into
-simulation variables.
+(recorded events, span clocks) never flows back into simulation
+variables.
 
 TRC301  a tracer emission call whose result feeds an expression or
         assignment (emission must be a statement or a ``with`` item).
-TRC303  simulation code reading tracer state (``.events``, ``.metrics``,
+TRC303  simulation code reading tracer state (``.events``,
         ``.open_span_count``, ``now_s()``).
 """
 
@@ -31,7 +31,7 @@ TRC_PACKAGES: Tuple[str, ...] = tuple(
 )
 
 #: Attributes that expose tracer-side state.
-_STATE_ATTRS = frozenset({"events", "metrics", "open_span_count"})
+_STATE_ATTRS = frozenset({"events", "open_span_count"})
 _STATE_METHODS = frozenset({"now_s"})
 
 
@@ -68,7 +68,7 @@ class TracerStateRead(ProjectRule):
     rule_id = "TRC303"
     summary = "simulation code must not read tracer-side state"
     hint = (
-        "tracer events/metrics are for exporters and tests; derive "
+        "tracer events are for exporters and tests; derive "
         "simulation decisions from simulation state instead"
     )
 

@@ -49,10 +49,6 @@ class FaultInjectionError(ReproError):
     """A fault plan or fault profile is inconsistent with the cluster."""
 
 
-class PageFetchTimeout(ReproError):
-    """A demand page fetch from a memory server timed out (injected)."""
-
-
 class ObservabilityError(ReproError):
-    """The tracing/metrics layer was misused (corrupt span stack,
+    """The tracing layer was misused (corrupt span stack,
     non-serializable event payload, malformed trace record)."""

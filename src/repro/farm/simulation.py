@@ -60,12 +60,7 @@ from repro.simulator.randomness import RngStreams
 from repro.traces.edges import ActivityEdgeSchedule
 from repro.traces.model import DayType
 from repro.traces.sampler import TraceEnsemble, generate_ensemble
-from repro.units import (
-    KIB_PER_MIB,
-    PAGE_SIZE_KIB,
-    SECONDS_PER_DAY,
-    TRACE_INTERVAL_SECONDS,
-)
+from repro.units import SECONDS_PER_DAY, TRACE_INTERVAL_SECONDS
 from repro.vm.machine import IntervalClock, VirtualMachine
 from repro.vm.state import Residency
 
@@ -162,8 +157,6 @@ class FarmSimulation:
         self._power_state_seen: Dict[int, str] = {
             host.host_id: host.power_state.value for host in self.cluster
         }
-        #: Sleep-entry times for the sleep-duration histogram (tracing only).
-        self._sleep_since: Dict[int, float] = {}
 
         self.manager = ClusterManager(
             cluster=self.cluster,
@@ -322,8 +315,6 @@ class FarmSimulation:
                     state=host.power_state.value,
                     role=host.role.value,
                 )
-                if host.power_state is PowerState.SLEEPING:
-                    self._sleep_since[host.host_id] = now
         for host in self.cluster:
             # Direct (non-deferred) refresh: the first set_power call per
             # host creates its meter, and meter creation order fixes the
@@ -545,8 +536,7 @@ class FarmSimulation:
     def _sample_metrics(self) -> None:
         result = self.result
         result.sample_times_s.append(self.sim.now)
-        active = self._active_count
-        result.active_vms.append(active)
+        result.active_vms.append(self._active_count)
         result.powered_hosts.append(self.cluster.powered_host_count())
         result.powered_home_hosts.append(self.cluster.powered_home_count())
         result.powered_consolidation_hosts.append(
@@ -555,11 +545,6 @@ class FarmSimulation:
         for host in self.cluster.consolidation_hosts:
             if host.is_powered and host.vm_count > 0:
                 result.consolidation_ratio_samples.append(host.vm_count)
-        if self.tracer.enabled:
-            self.tracer.gauge("active_vms", float(active))
-            self.tracer.gauge(
-                "powered_hosts", float(result.powered_hosts[-1])
-            )
 
     # ------------------------------------------------------------------
     # activation handling
@@ -984,10 +969,6 @@ class FarmSimulation:
         self._episode_open.discard(vm_id)
         demand_mib = self.config.costs.sample_on_demand_mib(self._traffic_rng)
         self.ledger.record_on_demand(demand_mib)
-        if self.tracer.enabled:
-            self.tracer.observe(
-                "pages_fetched", demand_mib * KIB_PER_MIB / PAGE_SIZE_KIB
-            )
         timeouts = self._injector.page_timeouts()
         if timeouts:
             retry_mib = timeouts * self.fault_profile.page_retry_mib
@@ -1020,8 +1001,6 @@ class FarmSimulation:
             vm=vm_id, source=source_id, destination=destination_id,
             mib=mib, start_s=start_s, end_s=end_s,
         )
-        self.tracer.observe("migration_latency_s", max(0.0, end_s - start_s))
-        self.tracer.counter("migration_mib", mib)
 
     def _trace_fault(self, name: str, **args) -> None:
         """Record one fault-handling step (counter increments mirror these)."""
@@ -1297,7 +1276,7 @@ class FarmSimulation:
         self._refresh_power(host)
 
     def _trace_power_transition(self, host: Host) -> None:
-        """Emit the host's power-state edge and sleep-duration samples.
+        """Emit the host's power-state edge.
 
         Every edge passes through :meth:`_note_power_state`, so the
         per-host event sequence replays legally through the power-state
@@ -1309,18 +1288,11 @@ class FarmSimulation:
         if state == previous:
             return
         self._power_state_seen[host_id] = state
-        now = self.sim.now
         self.tracer.event(
             "power.transition", CAT_POWER,
             host=host_id, role=host.role.value,
             **{"from": previous, "to": state},
         )
-        if state == PowerState.SLEEPING.value:
-            self._sleep_since[host_id] = now
-        elif previous == PowerState.SLEEPING.value:
-            since = self._sleep_since.pop(host_id, None)
-            if since is not None:
-                self.tracer.observe("host_sleep_duration_s", now - since)
 
     # ------------------------------------------------------------------
     # energy
@@ -1399,14 +1371,6 @@ class FarmSimulation:
             )
         self.result.state_time_s = self.ledger.state_time_s()
         self.result.state_energy_j = self.ledger.state_energy_j()
-        if self.tracer.enabled:
-            # Close out sleep intervals still open at the horizon.
-            for host_id in sorted(self._sleep_since):
-                self.tracer.observe(
-                    "host_sleep_duration_s",
-                    horizon - self._sleep_since[host_id],
-                )
-            self._sleep_since.clear()
         self._finished = True
 
 

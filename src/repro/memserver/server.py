@@ -23,10 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.energy.profile import MemoryServerProfile
-from repro.errors import ConfigError, PageFetchTimeout
+from repro.errors import ConfigError
 from repro.memserver.store import PageStore
-from repro.obs.events import CAT_MEMSERVER
-from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.units import KIB_PER_MIB, PAGE_SIZE_KIB
 
 
@@ -85,9 +83,9 @@ class PageServiceModel:
 class MemoryServer:
     """One per-host memory server: store + service model + power profile.
 
-    The farm simulation only consumes :attr:`profile` (for sleeping-host
-    power) and the service/latency constants; the prototype layer also
-    exercises the real :attr:`store`.
+    The prototype layer serves real pages from :attr:`store`.  The farm
+    simulation builds no ``MemoryServer``: it reads the profile from
+    ``FarmConfig.memory_server`` and models a server crash on ``Host``.
     """
 
     host_id: int
@@ -97,54 +95,18 @@ class MemoryServer:
     service: PageServiceModel = field(default_factory=PageServiceModel)
     store: Optional[PageStore] = None
     serving: bool = False
-    #: Set by fault injection when the server crashes; requests then
-    #: raise :class:`PageFetchTimeout` until :meth:`repair` is called.
-    failed: bool = False
     requests_served: int = 0
-    #: Timed-out fetch attempts absorbed by :meth:`serve_page_with_retries`.
-    requests_timed_out: int = 0
-    #: Observation only — never consulted for behaviour.
-    tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
 
     def start_serving(self) -> None:
         """Activate the daemon (host has detached the shared drive)."""
         self.serving = True
-        if self.tracer.enabled:
-            self.tracer.event(
-                "memserver.start_serving", CAT_MEMSERVER, host=self.host_id
-            )
 
     def stop_serving(self) -> None:
         """Deactivate (host woke up and reclaimed the drive)."""
         self.serving = False
-        if self.tracer.enabled:
-            self.tracer.event(
-                "memserver.stop_serving", CAT_MEMSERVER, host=self.host_id
-            )
-
-    def fail(self) -> None:
-        """Crash the server (fault injection)."""
-        self.failed = True
-        if self.tracer.enabled:
-            self.tracer.event(
-                "memserver.fail", CAT_MEMSERVER, host=self.host_id
-            )
-
-    def repair(self) -> None:
-        """Bring a crashed server back (host woke, operator swapped it)."""
-        self.failed = False
-        if self.tracer.enabled:
-            self.tracer.event(
-                "memserver.repair", CAT_MEMSERVER, host=self.host_id
-            )
 
     def serve_page(self, vm_id: int, pfn: int) -> bytes:
         """Serve one compressed page from the real store (prototype path)."""
-        if self.failed:
-            raise PageFetchTimeout(
-                f"memory server {self.host_id} is down; page request for "
-                f"VM {vm_id} pfn {pfn} timed out"
-            )
         if not self.serving:
             raise ConfigError(
                 f"memory server {self.host_id} is not serving"
@@ -155,40 +117,7 @@ class MemoryServer:
             )
         blob = self.store.fetch_compressed(vm_id, pfn)
         self.requests_served += 1
-        if self.tracer.enabled:
-            self.tracer.event(
-                "memserver.serve_page", CAT_MEMSERVER,
-                host=self.host_id, vm=vm_id, pfn=pfn,
-            )
         return blob
-
-    def serve_page_with_retries(
-        self, vm_id: int, pfn: int, injector=None
-    ) -> bytes:
-        """Serve one page, absorbing injected transient timeouts.
-
-        ``injector`` is a :class:`repro.faults.FaultInjector` (or any
-        object with a ``page_timeouts()`` method); each injected timeout
-        models one lost request/response that the memtap client re-sends
-        after its timeout window.  A *failed* server still raises — only
-        transient losses are retried here.
-        """
-        timeouts = injector.page_timeouts() if injector is not None else 0
-        self.requests_timed_out += timeouts
-        if timeouts and self.tracer.enabled:
-            self.tracer.event(
-                "memserver.fetch_timeouts", CAT_MEMSERVER,
-                host=self.host_id, vm=vm_id, pfn=pfn, timeouts=timeouts,
-            )
-        return self.serve_page(vm_id, pfn)
-
-    def fetch_time_with_timeouts_s(
-        self, pages: int, timeouts: int, timeout_window_s: float = 1.0
-    ) -> float:
-        """Latency of a ``pages``-page burst that hit ``timeouts`` losses."""
-        if timeouts < 0:
-            raise ConfigError("timeout count must be non-negative")
-        return self.service.fetch_time_s(pages) + timeouts * timeout_window_s
 
     @property
     def power_w(self) -> float:

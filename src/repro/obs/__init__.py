@@ -1,12 +1,12 @@
-"""Observability: structured event tracing and a metrics registry.
+"""Observability: structured event tracing.
 
 The simulation layers accept an optional :class:`Tracer` (default: the
 zero-overhead :data:`NULL_TRACER`); a :class:`RecordingTracer` captures
 typed events — power transitions, migrations with bytes moved, fault
-injections, policy decisions, memory-server activity — plus nested
-spans and metrics, all stamped with *simulated* time.  Exporters write
-JSONL and Chrome ``trace_event`` JSON (open it in Perfetto or
-``chrome://tracing``) and render a text timeline summary.
+injections, policy decisions — plus nested spans, all stamped with
+*simulated* time.  Events and spans are the one record of a traced run.
+Exporters write JSONL and Chrome ``trace_event`` JSON (open it in
+Perfetto or ``chrome://tracing``) and render a text timeline summary.
 
 Tracing is observation only: with any tracer, every RNG stream and every
 result byte is identical to an untraced run (differential-tested).
@@ -15,7 +15,6 @@ result byte is identical to an untraced run (differential-tested).
 from repro.obs.events import (
     CAT_FARM,
     CAT_FAULT,
-    CAT_MEMSERVER,
     CAT_MIGRATION,
     CAT_POLICY,
     CAT_POWER,
@@ -35,13 +34,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    TimeWeightedHistogram,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, RecordingTracer, Tracer
+from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
 
 __all__ = [
     "TraceEvent",
@@ -50,20 +43,14 @@ __all__ = [
     "CAT_MIGRATION",
     "CAT_FAULT",
     "CAT_POLICY",
-    "CAT_MEMSERVER",
     "CAT_FARM",
     "CAT_ZONE",
     "PHASE_INSTANT",
     "PHASE_BEGIN",
     "PHASE_END",
     "Tracer",
-    "NullTracer",
     "NULL_TRACER",
     "RecordingTracer",
-    "Counter",
-    "Gauge",
-    "TimeWeightedHistogram",
-    "MetricsRegistry",
     "events_to_jsonl",
     "write_jsonl",
     "read_jsonl",

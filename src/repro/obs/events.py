@@ -27,7 +27,6 @@ CAT_POWER = "power"
 CAT_MIGRATION = "migration"
 CAT_FAULT = "fault"
 CAT_POLICY = "policy"
-CAT_MEMSERVER = "memserver"
 CAT_FARM = "farm"
 CAT_ZONE = "zone"
 

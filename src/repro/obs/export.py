@@ -12,7 +12,7 @@ gate exporter output without a browser.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
 from repro.errors import ObservabilityError, TraceFormatError
 from repro.obs.events import (
@@ -24,7 +24,6 @@ from repro.obs.events import (
     PHASE_INSTANT,
     TraceEvent,
 )
-from repro.obs.metrics import MetricsRegistry
 
 #: ``phase`` -> Chrome trace_event ``ph`` code.
 _CHROME_PHASE = {PHASE_INSTANT: "i", PHASE_BEGIN: "B", PHASE_END: "E"}
@@ -182,10 +181,7 @@ def validate_chrome_trace(document: Any) -> int:
 # text timeline summary
 # ---------------------------------------------------------------------------
 
-def timeline_summary(
-    events: Sequence[TraceEvent],
-    metrics: Optional[MetricsRegistry] = None,
-) -> str:
+def timeline_summary(events: Sequence[TraceEvent]) -> str:
     """A plain-text digest of a trace: categories, hot spots, faults.
 
     Deterministic for a given trace (name-sorted tables), so it can be
@@ -247,8 +243,4 @@ def timeline_summary(
     lines.append("busiest events:")
     for name, count in busiest[:8]:
         lines.append(f"  {name:<28} {count}")
-
-    if metrics is not None and not metrics.is_empty:
-        lines.append("")
-        lines.append(metrics.render())
     return "\n".join(lines)

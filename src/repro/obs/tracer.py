@@ -31,7 +31,6 @@ from repro.obs.events import (
     ArgValue,
     TraceEvent,
 )
-from repro.obs.metrics import MetricsRegistry
 
 
 class Tracer:
@@ -58,30 +57,17 @@ class Tracer:
         """A nested span around a synchronous block (begin/end events)."""
         yield
 
-    def counter(self, name: str, delta: float = 1.0) -> None:
-        """Increment a named counter."""
-
-    def gauge(self, name: str, value: float) -> None:
-        """Sample a named gauge at the current simulated time."""
-
-    def observe(self, name: str, value: float, weight: float = 1.0) -> None:
-        """Add one weighted observation to a named histogram."""
-
-
-class NullTracer(Tracer):
-    """Alias of the no-op base, named for call sites' readability."""
-
 
 #: The shared default; stateless, so one instance serves every component.
-NULL_TRACER = NullTracer()
+NULL_TRACER = Tracer()
 
 
 class RecordingTracer(Tracer):
-    """Captures typed events, nested spans, and metrics in memory.
+    """Captures typed events and nested spans in memory.
 
     One tracer serves one simulation run; the run binds the simulated
     clock, and every instrumented layer (simulator kernel, farm, cluster
-    manager, fault injector, memory servers) shares this instance, so
+    manager, fault injector, zone controller) shares this instance, so
     the event list interleaves all of them in emission order — which,
     because simulated time is monotone, is also time order.
     """
@@ -90,7 +76,6 @@ class RecordingTracer(Tracer):
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.events: List[TraceEvent] = []
-        self.metrics = MetricsRegistry()
         self._clock = clock
         self._seq = 0
         #: Open spans as ``(name, category)``, innermost last.
@@ -144,17 +129,6 @@ class RecordingTracer(Tracer):
     def open_span_count(self) -> int:
         """Spans entered but not yet exited (0 once a run completes)."""
         return len(self._stack)
-
-    # -- metrics -----------------------------------------------------------
-
-    def counter(self, name: str, delta: float = 1.0) -> None:
-        self.metrics.counter(name).inc(delta)
-
-    def gauge(self, name: str, value: float) -> None:
-        self.metrics.gauge(name).set(value, self.now_s())
-
-    def observe(self, name: str, value: float, weight: float = 1.0) -> None:
-        self.metrics.histogram(name).observe(value, weight)
 
     def __repr__(self) -> str:
         return (

@@ -9,12 +9,7 @@ from repro.cluster.host import Host, HostRole
 from repro.cluster.power import PowerState
 from repro.core import DEFAULT as DEFAULT_POLICY
 from repro.energy.report import EnergyReport
-from repro.errors import (
-    ConfigError,
-    FaultInjectionError,
-    PageFetchTimeout,
-    PowerStateError,
-)
+from repro.errors import ConfigError, FaultInjectionError, PowerStateError
 from repro.farm import FarmConfig, simulate_day
 from repro.faults import (
     CLEAN_WAKE,
@@ -28,8 +23,6 @@ from repro.faults import (
     backoff_delays_s,
     fault_profile_by_name,
 )
-from repro.memserver.server import MemoryServer
-from repro.memserver.store import PageStore
 from repro.simulator.randomness import RngStreams
 from repro.traces import DayType
 
@@ -284,46 +277,6 @@ class TestHostFaultSupport:
                     memory_server_enabled=False)
         with pytest.raises(PowerStateError):
             host.fail_memory_server()
-
-
-class TestMemoryServerTimeouts:
-    def make_server(self):
-        server = MemoryServer(host_id=0, store=PageStore())
-        server.store.upload(1, {0: bytes(range(256)) * 16})
-        server.start_serving()
-        return server
-
-    def test_failed_server_times_out(self):
-        server = self.make_server()
-        server.fail()
-        with pytest.raises(PageFetchTimeout):
-            server.serve_page(1, 0)
-        server.repair()
-        server.serve_page(1, 0)
-        assert server.requests_served == 1
-
-    def test_retry_serving_counts_injected_timeouts(self):
-        server = self.make_server()
-        profile = FaultProfile(page_timeout_prob=1.0,
-                               page_timeout_retries_max=2)
-        injector = FaultInjector(profile, RngStreams(9))
-        server.serve_page_with_retries(1, 0, injector)
-        assert server.requests_timed_out == 2
-        assert server.requests_served == 1
-
-    def test_retry_serving_without_injector_is_clean(self):
-        server = self.make_server()
-        server.serve_page_with_retries(1, 0)
-        assert server.requests_timed_out == 0
-
-    def test_timeout_latency_adds_windows(self):
-        server = self.make_server()
-        base = server.service.fetch_time_s(10)
-        assert server.fetch_time_with_timeouts_s(10, 2, 1.5) == pytest.approx(
-            base + 3.0
-        )
-        with pytest.raises(ConfigError):
-            server.fetch_time_with_timeouts_s(10, -1)
 
 
 class TestEnergyReportFaultFields:

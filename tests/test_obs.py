@@ -1,10 +1,9 @@
 """Unit tests for the observability layer (``repro.obs``).
 
 Covers the typed event model, the recording tracer's span/clock
-semantics, the metrics registry, and all three exporters — including
-the failure paths (malformed records, corrupt span stacks, invalid
-Chrome documents) that the differential and property batteries never
-reach on healthy traces.
+semantics, and all three exporters — including the failure paths
+(malformed records, corrupt span stacks, invalid Chrome documents) that
+the differential and property batteries never reach on healthy traces.
 """
 
 import json
@@ -14,21 +13,14 @@ import pytest
 from repro.errors import ObservabilityError, TraceFormatError
 from repro.faults import FaultProfile
 from repro.faults.plan import FaultInjector
-from repro.memserver import MemoryServer, PageStore
 from repro.obs import (
     CAT_FAULT,
-    CAT_MEMSERVER,
     CAT_POWER,
     NULL_TRACER,
     PHASE_BEGIN,
     PHASE_END,
     PHASE_INSTANT,
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    NullTracer,
     RecordingTracer,
-    TimeWeightedHistogram,
     TraceEvent,
     Tracer,
     events_to_chrome,
@@ -100,17 +92,15 @@ class TestTraceEvent:
 
 class TestNullTracer:
     def test_disabled_and_inert(self):
-        tracer = NullTracer()
+        tracer = NULL_TRACER
         assert tracer.enabled is False
-        assert isinstance(NULL_TRACER, Tracer)
+        assert type(tracer) is Tracer
         # Every surface method is a free no-op.
         tracer.set_clock(lambda: 1.0)
         tracer.event("x", "sim", a=1)
-        tracer.counter("c", 2.0)
-        tracer.gauge("g", 3.0)
-        tracer.observe("h", 4.0, weight=2.0)
         with tracer.span("s", "sim"):
             pass
+        assert vars(tracer) == {}
 
 
 class TestRecordingTracer:
@@ -158,77 +148,10 @@ class TestRecordingTracer:
         with pytest.raises(ObservabilityError, match="span stack corrupted"):
             span.__exit__(None, None, None)
 
-    def test_metric_methods_feed_registry(self):
-        tracer = RecordingTracer(clock=lambda: 7.0)
-        tracer.counter("migrations", 2.0)
-        tracer.counter("migrations")
-        tracer.gauge("active", 5.0)
-        tracer.observe("latency_s", 1.5, weight=3.0)
-        snapshot = tracer.metrics.snapshot()
-        assert snapshot["counters"]["migrations"] == 3.0
-        assert snapshot["gauges"]["active"] == {"last": 5.0, "samples": 1}
-        assert tracer.metrics.gauge("active").samples == [(7.0, 5.0)]
-        assert snapshot["histograms"]["latency_s"]["total_weight"] == 3.0
-
     def test_repr_mentions_counts(self):
         tracer = RecordingTracer()
         tracer.event("a", "sim")
         assert "events=1" in repr(tracer)
-
-
-class TestMetrics:
-    def test_counter_rejects_decrease(self):
-        counter = Counter("n")
-        counter.inc(0.0)
-        with pytest.raises(ObservabilityError, match="cannot decrease"):
-            counter.inc(-1.0)
-
-    def test_gauge_keeps_sample_history(self):
-        gauge = Gauge("g")
-        gauge.set(1.0, 10.0)
-        gauge.set(2.0, 20.0)
-        assert gauge.value == 2.0
-        assert gauge.samples == [(10.0, 1.0), (20.0, 2.0)]
-
-    def test_histogram_weighted_mean_and_quantiles(self):
-        hist = TimeWeightedHistogram("h")
-        hist.observe(1.0, weight=1.0)
-        hist.observe(3.0, weight=3.0)
-        assert hist.count == 2
-        assert hist.total_weight == 4.0
-        assert hist.mean() == pytest.approx(2.5)
-        assert hist.quantile(0.5) == 3.0  # weight concentrates at 3.0
-        assert hist.quantile(0.0) <= hist.quantile(1.0)
-
-    def test_histogram_edge_cases(self):
-        hist = TimeWeightedHistogram("h")
-        assert hist.mean() == 0.0
-        with pytest.raises(ObservabilityError, match="no observations"):
-            hist.quantile(0.5)
-        with pytest.raises(ObservabilityError, match="outside"):
-            TimeWeightedHistogram("x").quantile(1.5)
-        with pytest.raises(ObservabilityError, match="negative weight"):
-            hist.observe(1.0, weight=-0.1)
-        zero_weight = TimeWeightedHistogram("z")
-        zero_weight.observe(5.0, weight=0.0)
-        assert zero_weight.mean() == 0.0
-        assert zero_weight.quantile(0.5) == 5.0
-
-    def test_registry_creates_on_demand_and_renders(self):
-        registry = MetricsRegistry()
-        assert registry.is_empty
-        assert registry.render() == "no metrics recorded"
-        registry.counter("c").inc()
-        registry.gauge("g").set(9.0, 1.0)
-        registry.histogram("h").observe(2.0)
-        registry.histogram("empty")
-        assert not registry.is_empty
-        assert registry.counter("c") is registry.counter("c")
-        text = registry.render()
-        assert "c = 1" in text
-        assert "g = 9" in text
-        assert "h: n=1" in text
-        assert "empty: n=0" in text
 
 
 class TestJsonlExport:
@@ -350,15 +273,13 @@ class TestTimelineSummary:
                      **{"from": "sleeping", "to": "resuming"})
         tracer.event("migration.rehome", "migration", mib=100.0)
         tracer.event("fault.migration_abort", CAT_FAULT, fraction=0.5)
-        tracer.counter("migration_mib", 100.0)
-        text = timeline_summary(tracer.events, tracer.metrics)
+        text = timeline_summary(tracer.events)
         assert "3 events over [10.0 s, 10.0 s]" in text
         assert "sleeping -> resuming" in text
         assert "migration traffic: 100.0 MiB" in text
         assert "fault.migration_abort" in text
-        assert "migration_mib = 100" in text
         # Deterministic: same trace, same text.
-        assert text == timeline_summary(tracer.events, tracer.metrics)
+        assert text == timeline_summary(tracer.events)
 
     def test_span_counted_once(self):
         tracer = RecordingTracer()
@@ -369,39 +290,6 @@ class TestTimelineSummary:
 
 
 class TestComponentEmission:
-    def test_memory_server_emits_lifecycle_and_serve_events(self):
-        tracer = RecordingTracer(clock=lambda: 3.0)
-        store = PageStore()
-        store.upload(1, {0: b"\0" * 4096})
-        server = MemoryServer(host_id=2, store=store, tracer=tracer)
-        server.start_serving()
-        server.serve_page(1, 0)
-        server.fail()
-        server.repair()
-        server.stop_serving()
-        names = [e.name for e in tracer.events]
-        assert names == [
-            "memserver.start_serving", "memserver.serve_page",
-            "memserver.fail", "memserver.repair", "memserver.stop_serving",
-        ]
-        assert all(e.category == CAT_MEMSERVER for e in tracer.events)
-        assert tracer.events[1].args["vm"] == 1
-
-    def test_memory_server_emits_injected_timeouts(self):
-        tracer = RecordingTracer()
-        store = PageStore()
-        store.upload(1, {0: b"\0" * 4096})
-        server = MemoryServer(host_id=2, store=store, tracer=tracer)
-        server.start_serving()
-        profile = FaultProfile(name="t", page_timeout_prob=1.0,
-                               page_timeout_retries_max=3)
-        injector = FaultInjector(profile, RngStreams(0), tracer)
-        server.serve_page_with_retries(1, 0, injector=injector)
-        names = [e.name for e in tracer.events
-                 if e.name.startswith(("fault.", "memserver."))]
-        assert "fault.page_timeouts" in names
-        assert "memserver.fetch_timeouts" in names
-
     def test_injector_emission_does_not_perturb_draws(self):
         """The tracer observes injector draws without consuming RNG."""
         profile = FaultProfile(name="t", migration_abort_prob=0.5,

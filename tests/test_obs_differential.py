@@ -1,7 +1,7 @@
 """Differential battery: tracing must never change what it observes.
 
-Runs identical seeded farm days with no tracer, an explicit
-:class:`NullTracer`, and a :class:`RecordingTracer`, and requires the
+Runs identical seeded farm days with no tracer, an explicit no-op
+:class:`Tracer`, and a :class:`RecordingTracer`, and requires the
 :class:`FarmResult` snapshots to be byte-identical in all three modes —
 for every policy, fault-free and under a heavy fault profile.  The CLI
 check requires ``simulate --trace`` to reproduce the pinned golden
@@ -20,7 +20,7 @@ import pytest
 from repro.core import policy_by_name
 from repro.farm import FarmConfig, simulate_day
 from repro.faults import fault_profile_by_name
-from repro.obs import NullTracer, RecordingTracer, read_jsonl
+from repro.obs import RecordingTracer, Tracer, read_jsonl
 from repro.traces import DayType
 from tests.golden.update_goldens import (
     FARM_SHAPE,
@@ -53,7 +53,7 @@ def test_tracing_modes_are_result_identical(policy_name, profile_name):
     seed = POLICY_SEEDS[policy_name]
     untraced = run_snapshot(policy_name, seed, profile_name, tracer=None)
     null_traced = run_snapshot(
-        policy_name, seed, profile_name, tracer=NullTracer()
+        policy_name, seed, profile_name, tracer=Tracer()
     )
     recorder = RecordingTracer()
     recorded = run_snapshot(policy_name, seed, profile_name, tracer=recorder)

@@ -13,7 +13,6 @@ invariants any healthy trace must satisfy:
   ``>=``),
 * per-host power-state chains rebuilt from ``power.*`` events replay
   legally through ``_LEGAL_TRANSITIONS``,
-* the metrics registry agrees with the event stream it rode along with,
 * every trace exports to a schema-valid Chrome trace document.
 """
 
@@ -228,36 +227,6 @@ class TestPowerTransitionReplay:
             for event in case.named("power.transition")
         }
         assert ("resuming", "sleeping") in edges
-
-
-class TestMetricsAgreeWithEvents:
-    def test_migration_mib_counter_sums_event_args(self, battery):
-        for case in battery:
-            migrations = [
-                event for event in case.events
-                if event.category == "migration"
-            ]
-            counter = case.tracer.metrics.counter("migration_mib")
-            assert counter.value == pytest.approx(
-                sum(event.args["mib"] for event in migrations)
-            )
-            histogram = case.tracer.metrics.histogram("migration_latency_s")
-            assert histogram.count == len(migrations)
-
-    def test_sleep_histogram_covers_every_sleep(self, battery):
-        for case in battery:
-            histogram = case.tracer.metrics.histogram(
-                "host_sleep_duration_s"
-            )
-            entered_sleep = sum(
-                1 for event in case.named("power.transition")
-                if event.args["to"] == "sleeping"
-            ) + sum(
-                1 for event in case.named("power.init")
-                if event.args["state"] == "sleeping"
-            )
-            assert histogram.count == entered_sleep
-            assert all(value >= 0.0 for value, _ in histogram.observations)
 
 
 class TestExportsStaySound:
