@@ -32,6 +32,11 @@ plus its Chrome export ``trace_golden_chrome.json``) so the event
 vocabulary and exporter formatting cannot drift silently either; see
 ``tests/test_trace_golden.py``.
 
+``equiv_baseline.json`` and ``equiv_baseline_rack.json`` hold the
+equivalence baselines (per-policy fingerprint ensembles at pinned
+seeds) on FARM_SHAPE and on the 900-VM paper rack; see
+``tests/test_equiv_baseline.py``.
+
 ``ensemble_golden.json`` pins the synthetic trace generator itself: the
 SHA-256 of every ensemble in ``ENSEMBLE_CONFIGS`` (config label, day
 type, seed), so a rewrite of the generator's loops must keep every
@@ -125,6 +130,15 @@ EQUIV_POLICIES = (
     "NewHome",
     "GammaRobust@1",
 )
+
+EQUIV_RACK_BASELINE_PATH = os.path.join(
+    os.path.dirname(__file__), "equiv_baseline_rack.json"
+)
+
+#: The same policies, root seed and ensemble size on the 900-VM paper
+#: rack (``FarmConfig()``): a draw-order change to the planner moves
+#: little on FARM_SHAPE's 16 VMs, so it is certified where it acts.
+EQUIV_RACK_SHAPE = dict(home_hosts=30, consolidation_hosts=4, vms_per_host=30)
 
 TRACE_GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "trace_golden.jsonl"
@@ -323,21 +337,25 @@ def build_fault_goldens() -> dict:
     }
 
 
-def build_equiv_baseline() -> None:
+def build_equiv_baseline(path: str, shape: dict, workers: int = 1) -> None:
+    """Write the weekday baseline of ``EQUIV_POLICIES`` on ``shape``."""
     from repro.equiv import build_baseline, write_baseline
-    from repro.farm import FarmConfig
+    from repro.farm import FarmConfig, SweepRunner
     from repro.traces import DayType
 
     payload = build_baseline(
-        FarmConfig(**FARM_SHAPE),
+        FarmConfig(**shape),
         EQUIV_POLICIES,
         DayType.WEEKDAY,
         root_seed=EQUIV_ROOT_SEED,
         ensemble_size=EQUIV_ENSEMBLE_SIZE,
+        runner=SweepRunner(
+            backend="process" if workers > 1 else "serial", workers=workers
+        ),
     )
-    write_baseline(EQUIV_BASELINE_PATH, payload)
+    write_baseline(path, payload)
     print(
-        f"wrote {EQUIV_BASELINE_PATH} "
+        f"wrote {path} "
         f"({len(EQUIV_POLICIES)} policies x {EQUIV_ENSEMBLE_SIZE} seeds)"
     )
 
@@ -435,7 +453,8 @@ def main() -> int:
         handle.write("\n")
     print(f"wrote {ENSEMBLE_GOLDEN_PATH}")
     build_trace_goldens()
-    build_equiv_baseline()
+    build_equiv_baseline(EQUIV_BASELINE_PATH, FARM_SHAPE)
+    build_equiv_baseline(EQUIV_RACK_BASELINE_PATH, EQUIV_RACK_SHAPE, workers=2)
     print("Diff it, explain every changed number, commit it with your change.")
     return 0
 

@@ -1,7 +1,11 @@
-"""The committed equivalence baseline certifies the current engine.
+"""The committed equivalence baselines certify the current engine.
 
 ``tests/golden/equiv_baseline.json`` pins fingerprint ensembles for the
-four paper policies plus ``GammaRobust@1`` at derived seeds.  The
+four paper policies plus ``GammaRobust@1`` at derived seeds, and
+``tests/golden/equiv_baseline_rack.json`` pins the same ensembles on
+the 900-VM paper rack.  The rack file's checks run no engine (a rack
+ensemble takes a minute); CI's ``goldens`` job pins its bit-identity
+by regenerating it, and its ``equiv-smoke`` job compares against it.  The
 current engine, replayed at those seeds, must be *bit-identical* to the
 committed fingerprints — not merely statistically accepted — because
 the baseline was produced by this same engine.  A future engine variant
@@ -28,6 +32,8 @@ from tests.golden.update_goldens import (
     EQUIV_BASELINE_PATH,
     EQUIV_ENSEMBLE_SIZE,
     EQUIV_POLICIES,
+    EQUIV_RACK_BASELINE_PATH,
+    EQUIV_RACK_SHAPE,
     EQUIV_ROOT_SEED,
     FARM_SHAPE,
 )
@@ -35,13 +41,22 @@ from tests.golden.update_goldens import (
 pytestmark = [pytest.mark.equiv, pytest.mark.slow]
 
 
-@pytest.fixture(scope="module")
-def payload():
-    assert os.path.exists(EQUIV_BASELINE_PATH), (
-        "missing tests/golden/equiv_baseline.json; run "
+def _read_committed(path):
+    assert os.path.exists(path), (
+        f"missing {path}; run "
         "PYTHONPATH=src python tests/golden/update_goldens.py"
     )
-    return read_baseline(EQUIV_BASELINE_PATH)
+    return read_baseline(path)
+
+
+@pytest.fixture(scope="module")
+def payload():
+    return _read_committed(EQUIV_BASELINE_PATH)
+
+
+@pytest.fixture(scope="module")
+def rack_payload():
+    return _read_committed(EQUIV_RACK_BASELINE_PATH)
 
 
 class TestCommittedBaseline:
@@ -137,3 +152,44 @@ class TestCommittedBaseline:
         path.write_text(json.dumps(broken))
         with pytest.raises(ConfigError, match=words):
             read_baseline(str(path))
+
+
+class TestCommittedRackBaseline:
+    """The rack baseline's contents, checked without running the engine."""
+
+    def test_covers_the_committed_policies(self, rack_payload):
+        assert sorted(rack_payload["policies"]) == sorted(EQUIV_POLICIES)
+
+    def test_records_the_paper_rack(self, rack_payload):
+        assert baseline_config(rack_payload) == FarmConfig(**EQUIV_RACK_SHAPE)
+        assert FarmConfig(**EQUIV_RACK_SHAPE) == FarmConfig()
+
+    def test_is_a_weekday_baseline(self, rack_payload):
+        assert rack_payload["day_type"] == "weekday"
+
+    def test_seeds_match_the_derivation(self, rack_payload):
+        assert rack_payload["root_seed"] == EQUIV_ROOT_SEED
+        assert baseline_seeds(rack_payload) == ensemble_seeds(
+            EQUIV_ROOT_SEED, EQUIV_ENSEMBLE_SIZE
+        )
+
+    def test_every_ensemble_is_full_size(self, rack_payload):
+        for name, fingerprints in load_baseline(rack_payload).items():
+            assert len(fingerprints) == EQUIV_ENSEMBLE_SIZE, name
+            assert [fp.seed for fp in fingerprints] == baseline_seeds(
+                rack_payload
+            ), name
+            assert {fp.policy for fp in fingerprints} == {name}
+
+    def test_file_is_stably_formatted(self, rack_payload):
+        with open(EQUIV_RACK_BASELINE_PATH, encoding="utf-8") as handle:
+            on_disk = handle.read()
+        assert on_disk == json.dumps(
+            rack_payload, indent=2, sort_keys=True
+        ) + "\n"
+
+    def test_another_farm_shape_is_a_config_error(self, rack_payload):
+        with pytest.raises(ConfigError, match="'vms_per_host': 30"):
+            compare_to_baseline(
+                rack_payload, FarmConfig(**FARM_SHAPE), "Default"
+            )
