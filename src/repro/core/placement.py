@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import random
 from bisect import bisect_left, insort
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.host import Host
@@ -203,7 +204,8 @@ class GreedyVacatePlanner:
 
         Only fully-vacatable powered compute hosts are planned: hosts
         with VMs that cannot move (active VMs under OnlyPartial, or VMs
-        that do not fit anywhere) stay as they are.  When
+        that do not fit anywhere) stay as they are, and a host the
+        screen below proves cannot fit is skipped before any draw.  When
         ``compact_consolidation`` is set, lightly-loaded powered
         consolidation hosts are additionally emptied into their peers so
         they can sleep too.
@@ -215,7 +217,24 @@ class GreedyVacatePlanner:
             shadow = _ShadowCapacity(cluster, self.gamma, self._resident_room)
             try_vacate = self._try_vacate_robust
         vacations: List[HostVacatePlan] = []
-        for host in self._vacate_queue(cluster):
+        free = shadow.free
+        stale = True
+        for _, host, largest, bound in self._vacate_queue(cluster):
+            if stale:
+                # Upper bounds on what an attempt can place: the largest
+                # free block, and all free memory plus the fit rule's 1e-9
+                # per host and a margin for rounding.
+                most = total = 0.0
+                for room in free:
+                    if room > 0.0:
+                        total += room
+                        if room > most:
+                            most = room
+                total += 1e-9 * (len(free) + total)
+                stale = False
+            if largest > most + 1e-9 or bound > total:
+                continue
+            stale = True
             migrations = try_vacate(host, shadow)
             if migrations is not None:
                 vacations.append(HostVacatePlan(host.host_id, migrations))
@@ -291,30 +310,47 @@ class GreedyVacatePlanner:
 
     # -- internals --------------------------------------------------------
 
-    def _vacate_queue(self, cluster: Cluster) -> List[Host]:
-        """Powered compute hosts with VMs, cheapest memory demand first."""
-        candidates = [
-            host
-            for host in cluster.home_hosts
-            if host.is_powered and host.vm_count > 0
-        ]
-        return sorted(candidates, key=self._memory_demand)
+    def _vacate_queue(self, cluster: Cluster) -> List[tuple]:
+        """Powered compute hosts with VMs as ``(demand, host, largest,
+        bound)``, cheapest first, leaving out any host with a VM that
+        may not move (active when the policy migrates no active VM, or
+        idle for under ``min_idle_intervals``).
 
-    def _memory_demand(self, host: Host) -> float:
-        """Memory that vacating this host would move to consolidation
-        hosts: full allocations for active VMs, expected working sets for
-        idle ones.  This is both the sort key (the paper's "total VM
-        memory demand / migration cost") and a proxy for transfer cost."""
+        ``demand``, the sort key, is the memory vacating the host moves
+        (the paper's "total VM memory demand / migration cost"): full
+        allocations for active VMs, expected working sets for idle
+        ones.  ``largest`` is the largest active VM.  ``bound`` counts
+        idle VMs at the sampler's least working set instead, which no
+        plan undercuts: a Γ plan's nominal size is the sampler mean.
+        """
         expected_ws = self.working_sets.expected_mib()
+        least_ws = self.working_sets.min_mib
+        min_idle = self.min_idle_intervals
+        full_migrate_active = self.policy.full_migrate_active
         active = VmActivity.ACTIVE
-        demand = 0.0
-        for vm in host._vms.values():
-            if vm.activity is active:
-                demand += vm.memory_mib
-            else:
+        queue = []
+        for host in cluster.home_hosts:
+            if not host.is_powered or not host.vm_count:
+                continue
+            demand = largest = bound = 0.0
+            for vm in host._vms.values():
                 memory = vm.memory_mib
-                demand += expected_ws if expected_ws < memory else memory
-        return demand
+                if vm.activity is active:
+                    if not full_migrate_active:
+                        break
+                    demand += memory
+                    bound += memory
+                    if memory > largest:
+                        largest = memory
+                else:
+                    if min_idle > 1 and vm.idle_intervals < min_idle:
+                        break
+                    demand += expected_ws if expected_ws < memory else memory
+                    bound += least_ws if least_ws < memory else memory
+            else:
+                queue.append((demand, host, largest, bound))
+        queue.sort(key=itemgetter(0))
+        return queue
 
     def _try_vacate(
         self, host: Host, shadow: _ShadowCapacity
@@ -322,9 +358,9 @@ class GreedyVacatePlanner:
         """Plan all of one host's VMs at point estimates, or None if any
         VM cannot move.
 
-        This is the planner's innermost loop — tens of thousands of VM
-        placements per simulated day, most of which roll back when a
-        later sibling fails to fit — so the candidate scan and shadow
+        This is the planner's innermost loop — thousands of VM
+        placements per simulated day, on the hosts :meth:`plan`'s
+        screen lets through — so the candidate scan and shadow
         placement are fused inline.  The working-set and destination
         draws go through ``WorkingSetSampler.sample`` and
         ``rng.choice``, in VM order, one working set per idle VM and
