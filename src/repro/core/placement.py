@@ -133,27 +133,33 @@ class _ShadowCapacity:
             )
         ]
 
-    def place(self, host_id: int, size_mib: float, room: float) -> None:
+    def place(self, host_id: int, size_mib: float, room: float) -> bool:
+        """Plan a VM onto a host; True if that wakes the host."""
         position = self.index[host_id]
         self.free[position] -= size_mib
         if room:
             insort(self.rooms[position], -room)
-        if not self.powered[position]:
-            self.woken.add(host_id)
-            self.effective[position] = True
+        if self.effective[position]:
+            return False
+        self.woken.add(host_id)
+        self.effective[position] = True
+        return True
 
-    def unplace(self, host_id: int, size_mib: float, room: float) -> None:
-        # Deliberately does not revert ``woken``/``effective``: a rolled-
-        # back placement may already have committed the wake decision
-        # (matching the historical dict-backed behaviour).
+    def unplace(self, host_id: int, size_mib: float, room: float,
+                woke: bool = False) -> None:
+        """Undo a placement, and the wake it made if ``woke``: planning
+        commits no wake, so a rolled-back one must not stay visible."""
         position = self.index[host_id]
         self.free[position] += size_mib
         if room:
             rooms = self.rooms[position]
             del rooms[bisect_left(rooms, -room)]
+        if woke:
+            self.woken.discard(host_id)
+            self.effective[position] = False
 
-    def rollback(self, placed: List[Tuple[int, float, float]]) -> None:
-        """Undo ``(host_id, size_mib, room)`` placements.
+    def rollback(self, placed: List[tuple]) -> None:
+        """Undo ``(host_id, size_mib, room[, woke])`` placements.
 
         Point-estimate plans undo the oldest first and Γ-robust plans
         the newest first, as each planner always has: the order fixes
@@ -161,8 +167,8 @@ class _ShadowCapacity:
         """
         if self.gamma is not None:
             placed = placed[::-1]
-        for host_id, size_mib, room in placed:
-            self.unplace(host_id, size_mib, room)
+        for entry in placed:
+            self.unplace(*entry)
 
 
 class GreedyVacatePlanner:
@@ -204,8 +210,8 @@ class GreedyVacatePlanner:
 
         Only fully-vacatable powered compute hosts are planned: hosts
         with VMs that cannot move (active VMs under OnlyPartial, or VMs
-        that do not fit anywhere) stay as they are, and a host the
-        screen below proves cannot fit is skipped before any draw.  When
+        that do not fit anywhere) stay as they are; a host screened out
+        as unable to fit is skipped before any draw.  When
         ``compact_consolidation`` is set, lightly-loaded powered
         consolidation hosts are additionally emptied into their peers so
         they can sleep too.
@@ -217,20 +223,17 @@ class GreedyVacatePlanner:
             shadow = _ShadowCapacity(cluster, self.gamma, self._resident_room)
             try_vacate = self._try_vacate_robust
         vacations: List[HostVacatePlan] = []
-        free = shadow.free
         stale = True
         for _, host, largest, bound in self._vacate_queue(cluster):
             if stale:
-                # Upper bounds on what an attempt can place: the largest
-                # free block, and all free memory plus the fit rule's 1e-9
-                # per host and a margin for rounding.
-                most = total = 0.0
-                for room in free:
+                # What an attempt can place at most: the fit rule adds
+                # 1e-9 per host, and rounding far less than 1e-9 of all.
+                most = max(shadow.free, default=0.0)
+                total = 0.0
+                for room in shadow.free:
                     if room > 0.0:
                         total += room
-                        if room > most:
-                            most = room
-                total += 1e-9 * (len(free) + total)
+                total += 1e-9 * (len(shadow.free) + total)
                 stale = False
             if largest > most + 1e-9 or bound > total:
                 continue
@@ -312,17 +315,13 @@ class GreedyVacatePlanner:
 
     def _vacate_queue(self, cluster: Cluster) -> List[tuple]:
         """Powered compute hosts with VMs as ``(demand, host, largest,
-        bound)``, cheapest first, leaving out any host with a VM that
-        may not move (active when the policy migrates no active VM, or
-        idle for under ``min_idle_intervals``).
-
-        ``demand``, the sort key, is the memory vacating the host moves
-        (the paper's "total VM memory demand / migration cost"): full
-        allocations for active VMs, expected working sets for idle
-        ones.  ``largest`` is the largest active VM.  ``bound`` counts
-        idle VMs at the sampler's least working set instead, which no
-        plan undercuts: a Γ plan's nominal size is the sampler mean.
-        """
+        bound)``, cheapest first, less any host with a VM that may not
+        move (active when the policy moves none, or idle too briefly).
+        ``demand`` (the paper's "total VM memory demand") counts active
+        VMs in full and idle ones at the expected working set; ``bound``
+        counts idle ones at the least one the sampler draws, which no
+        plan undercuts (Γ plans take the mean), and ``largest`` is the
+        largest active VM."""
         expected_ws = self.working_sets.expected_mib()
         least_ws = self.working_sets.min_mib
         min_idle = self.min_idle_intervals
@@ -373,7 +372,6 @@ class GreedyVacatePlanner:
         random_strategy = self.strategy is DestinationStrategy.RANDOM
         ids = shadow.ids
         free = shadow.free
-        powered = shadow.powered
         effective = shadow.effective
         host_index = shadow.index
         woken = shadow.woken
@@ -383,13 +381,11 @@ class GreedyVacatePlanner:
         partial_mode = MigrationMode.PARTIAL
         full_mode = MigrationMode.FULL
         migrations: List[PlannedMigration] = []
-        placed: List = []  # (position, size) for rollback
+        placed: List = []  # (position, size, woke) for rollback
         for vm in host._vms.values():
             if vm.activity is active:
                 if not full_migrate_active:
-                    for position, size in placed:
-                        free[position] += size
-                    return None
+                    break
                 working_set = None
                 size = vm.memory_mib
                 mode = full_mode
@@ -403,9 +399,7 @@ class GreedyVacatePlanner:
                     else vm._interval_clock.index - anchor + 1
                 )
                 if idle < min_idle:
-                    for position, size in placed:
-                        free[position] += size
-                    return None
+                    break
                 working_set = sample_working_set(rng)
                 memory = vm.memory_mib
                 if working_set > memory:
@@ -426,19 +420,18 @@ class GreedyVacatePlanner:
                     ):
                         candidates.append(ids[position])
                 if not candidates:
-                    for position, size in placed:
-                        free[position] += size
-                    return None
+                    break
             if random_strategy:
                 destination = rng.choice(candidates)
             else:
                 destination = self._choose(candidates, shadow)
             position = host_index[destination]
             free[position] -= size
-            if not powered[position]:
+            woke = not effective[position]
+            if woke:
                 woken.add(destination)
                 effective[position] = True
-            placed.append((position, size))
+            placed.append((position, size, woke))
             migrations.append(
                 PlannedMigration(
                     vm_id=vm.vm_id,
@@ -448,7 +441,14 @@ class GreedyVacatePlanner:
                     working_set_mib=working_set,
                 )
             )
-        return migrations
+        else:
+            return migrations
+        for position, size, woke in placed:
+            free[position] += size
+            if woke:
+                effective[position] = False
+                woken.discard(ids[position])
+        return None
 
     def _try_vacate_robust(
         self, host: Host, shadow: _ShadowCapacity
@@ -460,7 +460,7 @@ class GreedyVacatePlanner:
         the powered-or-woken hosts that fit, else among sleeping ones.
         """
         migrations: List[PlannedMigration] = []
-        placed: List[Tuple[int, float, float]] = []
+        placed: List[Tuple[int, float, float, bool]] = []
         for vm in host.vms():
             if vm.activity is VmActivity.ACTIVE:
                 if not self.policy.full_migrate_active:
@@ -477,8 +477,8 @@ class GreedyVacatePlanner:
             if not candidates:
                 break
             destination = self._choose(candidates, shadow)
-            shadow.place(destination, size, room)
-            placed.append((destination, size, room))
+            woke = shadow.place(destination, size, room)
+            placed.append((destination, size, room, woke))
             migrations.append(PlannedMigration(
                 vm.vm_id, host.host_id, destination, mode,
                 size if mode is MigrationMode.PARTIAL else None,

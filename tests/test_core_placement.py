@@ -11,7 +11,10 @@ from repro.core import (
     MigrationMode,
     ONLY_PARTIAL,
     DestinationStrategy,
+    gamma_robust,
 )
+from repro.core.placement import _ShadowCapacity
+from repro.policies import DemandIntervalModel, GammaRobustPlanner
 from repro.vm import VirtualMachine, VmActivity, WorkingSetSampler
 
 
@@ -149,6 +152,57 @@ class TestGreedyVacate:
         cluster.host(0).begin_suspend()
         plan = make_planner().plan(cluster)
         assert plan.is_empty
+
+
+class TestRolledBackWake:
+    """A rolled-back attempt leaves no sleeping host marked as woken.
+
+    Host 0's two idle VMs are planned at 150 MiB each.  The powered
+    consolidation host (1) has 100 MiB free, so the first VM wakes the
+    sleeping one (2, 200 MiB free) and the second fits nowhere.  The
+    host passes the screen (it needs at least 32 MiB of 300 free), so
+    the attempt runs and rolls back.
+    """
+
+    SAMPLER = WorkingSetSampler(mean_mib=150.0, std_mib=0.0)
+
+    def _cluster(self):
+        cluster = build_cluster(homes=1, consolidation=2, capacity=300.0)
+        for vm_id in (1, 2):
+            vm = VirtualMachine(vm_id, 0, 150.0)
+            vm.set_activity(VmActivity.IDLE)
+            vm.idle_intervals = 3
+            cluster.host(0).attach(vm)
+        filler = VirtualMachine(99, 0, 4096.0)
+        filler.become_partial(1, 200.0)
+        cluster.host(1).attach(filler)
+        cluster.host(2).capacity_mib = 200.0
+        cluster.host(2).start_asleep()
+        return cluster
+
+    def _assert_restored(self, shadow):
+        assert shadow.woken == set()
+        assert shadow.effective == [True, False]
+        assert shadow.free == [100.0, 200.0]
+
+    def test_point_estimate_rollback_reverts_the_wake(self):
+        cluster = self._cluster()
+        planner = GreedyVacatePlanner(
+            FULL_TO_PARTIAL, self.SAMPLER, random.Random(0)
+        )
+        shadow = _ShadowCapacity(cluster)
+        assert planner._try_vacate(cluster.host(0), shadow) is None
+        self._assert_restored(shadow)
+
+    def test_robust_rollback_reverts_the_wake(self):
+        cluster = self._cluster()
+        planner = GammaRobustPlanner(
+            gamma_robust(1), self.SAMPLER,
+            DemandIntervalModel(self.SAMPLER, root_seed=0),
+        )
+        shadow = _ShadowCapacity(cluster, 1, planner._resident_room)
+        assert planner._try_vacate_robust(cluster.host(0), shadow) is None
+        self._assert_restored(shadow)
 
 
 class TestDestinationStrategies:
