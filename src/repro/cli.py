@@ -624,11 +624,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             events = read_jsonl(args.file)
             report = f"OK: {len(events)} JSONL trace events in {args.file}"
         else:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-            count = validate_chrome_trace(document)
+            try:
+                with open(args.file, "r", encoding="utf-8") as handle:
+                    count = validate_chrome_trace(json.load(handle))
+            except (TraceFormatError, ValueError) as error:
+                # JSON, codec and schema errors name no file.
+                raise TraceFormatError(f"{args.file}: {error}") from None
             report = f"OK: {count} Chrome trace events in {args.file}"
-    except (TraceFormatError, json.JSONDecodeError, OSError) as error:
+    except (TraceFormatError, OSError) as error:
         print(f"invalid trace: {error}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as error:

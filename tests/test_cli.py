@@ -214,6 +214,33 @@ class TestTraceCommand:
         assert completed.stderr.startswith(f"invalid trace: {path}: ")
         assert completed.stdout == ""
 
+    @pytest.mark.parametrize("content,reason", [
+        ("not json", "Expecting value"),
+        ("[1]", "chrome trace must be a JSON object"),
+        ('{"traceEvents": [{"name": 1}]}', "traceEvents[0]: missing 'ph'"),
+    ])
+    def test_bad_chrome_file_is_one_stderr_line_naming_it(
+        self, tmp_path, content, reason
+    ):
+        path = tmp_path / "x.json"
+        path.write_text(content)
+        completed = _run_cli(["trace", "validate", str(path)])
+        assert completed.returncode == 1
+        assert "Traceback" not in completed.stderr
+        assert len(completed.stderr.splitlines()) == 1, completed.stderr
+        assert completed.stderr.startswith(f"invalid trace: {path}: ")
+        assert reason in completed.stderr
+
+    def test_bad_jsonl_file_names_its_path_once(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text("not json\n")
+        completed = _run_cli(["trace", "validate", str(path)])
+        assert completed.returncode == 1
+        assert "Traceback" not in completed.stderr
+        assert len(completed.stderr.splitlines()) == 1, completed.stderr
+        assert completed.stderr.startswith(f"invalid trace: {path}:1: ")
+        assert completed.stderr.count(str(path)) == 1
+
 
 class TestSimulateCommand:
     def test_week_simulation_runs(self, capsys):
