@@ -80,7 +80,6 @@ class ScreenAudit:
 
     def __init__(self, monkeypatch):
         self.verdicts = Counter()
-        self.skipped = 0
         self.plan = GreedyVacatePlanner.plan
         self.loops = {
             "_try_vacate": GreedyVacatePlanner._try_vacate,
@@ -146,7 +145,6 @@ class ScreenAudit:
         """Run the unscreened attempt the planner skipped, on copies."""
         planner = self.planner
         self.verdicts[_verdict(planner, host, self.shadow)] += 1
-        self.skipped += 1
         rng = planner.rng
         if rng is not None:
             planner.rng = copy.deepcopy(rng)
