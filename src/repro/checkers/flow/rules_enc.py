@@ -120,10 +120,8 @@ INDEX_SPECS: Tuple[IndexSpec, ...] = (
     ),
     IndexSpec(
         cls="repro.core.placement._ShadowCapacity",
-        attrs=frozenset({"free", "effective", "woken", "powered", "rooms"}),
-        leakable=frozenset(
-            {"free", "effective", "woken", "powered", "rooms"}
-        ),
+        attrs=frozenset({"free", "effective", "woken", "rooms"}),
+        leakable=frozenset({"free", "effective", "woken", "rooms"}),
         mutators=frozenset(
             {
                 "_ShadowCapacity.__init__",

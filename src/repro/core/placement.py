@@ -66,8 +66,8 @@ class _ShadowCapacity:
     room first, so a probe reads only the first Γ of them.
     """
 
-    __slots__ = ("ids", "index", "free", "capacity", "powered", "effective",
-                 "woken", "gamma", "rooms")
+    __slots__ = ("ids", "index", "free", "capacity", "effective", "woken",
+                 "gamma", "rooms")
 
     def __init__(
         self,
@@ -82,9 +82,8 @@ class _ShadowCapacity:
         }
         self.free: List[float] = [host.free_mib for host in hosts]
         self.capacity: List[float] = [host.capacity_mib for host in hosts]
-        self.powered: List[bool] = [host.is_powered for host in hosts]
         #: powered-or-woken, the effective state candidate scans test.
-        self.effective: List[bool] = list(self.powered)
+        self.effective: List[bool] = [host.is_powered for host in hosts]
         self.woken: set = set()
         #: None for point-estimate planning; Γ for Γ-robust planning.
         self.gamma = gamma
