@@ -76,11 +76,13 @@ def _verdict(planner, host, shadow):
 
 
 class ScreenAudit:
-    """Wraps ``plan`` and both vacate loops to audit every pass."""
+    """Wraps ``plan``, both vacate loops and compaction to audit every
+    pass."""
 
     def __init__(self, monkeypatch):
         self.verdicts = Counter()
         self.plan = GreedyVacatePlanner.plan
+        self.compaction = GreedyVacatePlanner._plan_compaction
         self.loops = {
             "_try_vacate": GreedyVacatePlanner._try_vacate,
             "_try_vacate_robust": GreedyVacatePlanner._try_vacate_robust,
@@ -89,7 +91,14 @@ class ScreenAudit:
         def plan(planner, cluster, compact_consolidation=True):
             return self._plan(planner, cluster, compact_consolidation)
 
+        def compaction(planner, cluster, shadow):
+            self._assert_untouched(planner, shadow)
+            return self.compaction(planner, cluster, shadow)
+
         monkeypatch.setattr(GreedyVacatePlanner, "plan", plan)
+        monkeypatch.setattr(
+            GreedyVacatePlanner, "_plan_compaction", compaction
+        )
         for name in self.loops:
             monkeypatch.setattr(
                 GreedyVacatePlanner, name, self._attempt_with(name)
@@ -101,6 +110,12 @@ class ScreenAudit:
 
     def _rng_state(self, planner):
         return None if planner.rng is None else planner.rng.getstate()
+
+    def _assert_untouched(self, planner, shadow):
+        """Every host since the last attempt was skipped with no shadow
+        write and no draw."""
+        assert _shadow_state(shadow) == _shadow_state(self.shadow)
+        assert self._rng_state(planner) == self.rng_state
 
     def _plan(self, planner, cluster, compact_consolidation=True):
         self.planner = planner
@@ -125,9 +140,7 @@ class ScreenAudit:
 
     def _attempt_with(self, name):
         def attempt(planner, host, shadow):
-            # Every host since the last attempt was skipped untouched.
-            assert _shadow_state(shadow) == _shadow_state(self.shadow)
-            assert self._rng_state(planner) == self.rng_state
+            self._assert_untouched(planner, shadow)
             while self.turns[0] is not host:
                 self._skip(self.turns.pop(0))
             self.turns.pop(0)
