@@ -133,11 +133,13 @@ INDEX_SPECS: Tuple[IndexSpec, ...] = (
         ),
         reason=(
             "shadow arrays and the sorted spike rooms are the planner's "
-            "speculative view; the point-estimate vacate loop updates "
-            "the arrays inline for speed (a method call per scan, place "
-            "and rollback makes greedy planning measurably slower) and "
-            "compaction marks an emptied host unfit, so both are "
-            "sanctioned alongside place/unplace"
+            "speculative view: __init__ reads them off the cluster, "
+            "keeping each host's gamma largest resident rooms; place and "
+            "unplace are the paired writers of the robust loop and "
+            "compaction; the point-estimate vacate loop updates the "
+            "arrays inline for speed (a method call per scan, place and "
+            "rollback makes greedy planning measurably slower); and "
+            "compaction marks an emptied host unfit"
         ),
     ),
     IndexSpec(

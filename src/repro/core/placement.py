@@ -22,8 +22,9 @@ from __future__ import annotations
 import enum
 import random
 from bisect import bisect_left, insort
+from heapq import nlargest
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.host import Host
 from repro.cluster.topology import Cluster
@@ -63,7 +64,10 @@ class _ShadowCapacity:
     it was planned at.  A host then fits a VM only if its free memory
     covers the VM's size plus the Γ largest rooms, the VM's own
     included.  Rooms are stored negated in ascending order, largest
-    room first, so a probe reads only the first Γ of them.
+    room first, so a probe reads only the first Γ of them.  Of the
+    rooms of the VMs already on a host only the Γ largest are kept: a
+    pass removes only rooms it placed, so no other resident room can
+    ever be among a host's Γ largest.  Γ = 0 keeps no rooms.
     """
 
     __slots__ = ("ids", "index", "free", "capacity", "effective", "woken",
@@ -89,17 +93,17 @@ class _ShadowCapacity:
         self.gamma = gamma
         #: per host, the negated spike rooms of its VMs, ascending.
         self.rooms: List[List[float]] = [[] for _ in hosts]
-        if resident_room is not None:
-            for rooms, host in zip(self.rooms, hosts):
-                for vm in host.vms():
-                    room = resident_room(vm)
-                    if room > 0.0:
-                        insort(rooms, -room)
+        if gamma and resident_room is not None:
+            for position, host in enumerate(hosts):
+                top = nlargest(gamma, map(resident_room, host._vms.values()))
+                self.rooms[position] = [-room for room in top if room > 0.0]
 
     def top_rooms(self, position: int, room: float) -> float:
-        """``sum(nlargest(gamma, rooms + [room]))`` for one host, bit for
-        bit: the same values in the same order (the zero rooms
-        :meth:`place` skips would only add ``+ 0.0``)."""
+        """``sum(nlargest(gamma, rooms + [room]))`` for one host, where
+        ``rooms`` are all its resident and placed rooms, bit for bit:
+        the same values in the same order (the resident rooms not kept
+        never reach the sum, and the zero rooms skipped would only add
+        ``+ 0.0``)."""
         top = self.rooms[position][:self.gamma]
         insort(top, -room)
         return sum([-negated for negated in top[:self.gamma]])
@@ -116,27 +120,39 @@ class _ShadowCapacity:
             size_mib + self.top_rooms(position, room)
         ) + reserve_mib
 
+    def spare(self) -> List[float]:
+        """Per host, free memory less the sum of its Γ largest rooms.
+
+        A vacate attempt places at most this (plus the fit rule's 1e-9)
+        on a host: every robust placement leaves the host at least its
+        Γ largest rooms free, and placing a VM never shrinks them."""
+        gamma = self.gamma
+        spare = []
+        for free, rooms in zip(self.free, self.rooms):
+            for negated in rooms[:gamma]:
+                free += negated
+            spare.append(free)
+        return spare
+
     def candidates(self, size_mib: float, powered_only: bool, room: float,
-                   headroom_fraction: float = 0.0) -> List[int]:
-        """Hosts of one tier (powered-or-woken, or sleeping) that fit
-        ``size_mib`` while keeping at least ``headroom_fraction`` of
-        their capacity free afterwards."""
+                   headroom_fraction: float = 0.0) -> Iterator[int]:
+        """Hosts of one tier (powered-or-woken, or sleeping), in
+        ascending host id, that fit ``size_mib`` while keeping at least
+        ``headroom_fraction`` of their capacity free afterwards."""
         effective = self.effective
         capacity = self.capacity
-        return [
-            host_id
-            for position, host_id in enumerate(self.ids)
+        for position, host_id in enumerate(self.ids):
             if effective[position] == powered_only and self.fits(
                 position, size_mib, room,
                 headroom_fraction * capacity[position],
-            )
-        ]
+            ):
+                yield host_id
 
     def place(self, host_id: int, size_mib: float, room: float) -> bool:
         """Plan a VM onto a host; True if that wakes the host."""
         position = self.index[host_id]
         self.free[position] -= size_mib
-        if room:
+        if room and self.gamma:
             insort(self.rooms[position], -room)
         if self.effective[position]:
             return False
@@ -150,7 +166,7 @@ class _ShadowCapacity:
         commits no wake, so a rolled-back one must not stay visible."""
         position = self.index[host_id]
         self.free[position] += size_mib
-        if room:
+        if room and self.gamma:
             rooms = self.rooms[position]
             del rooms[bisect_left(rooms, -room)]
         if woke:
@@ -225,14 +241,17 @@ class GreedyVacatePlanner:
         stale = True
         for _, host, largest, bound in self._vacate_queue(cluster):
             if stale:
-                # What an attempt can place at most: the fit rule adds
-                # 1e-9 per host, and rounding far less than 1e-9 of all.
-                most = max(shadow.free, default=0.0)
+                # What an attempt can place at most: each host's free
+                # memory (under Γ less the rooms a robust placement
+                # leaves free), 1e-9 per host for the fit rule, and
+                # rounding far less than 1e-9 of all.
+                spare = shadow.free if self.gamma is None else shadow.spare()
+                most = max(spare, default=0.0)
                 total = 0.0
-                for room in shadow.free:
+                for room in spare:
                     if room > 0.0:
                         total += room
-                total += 1e-9 * (len(shadow.free) + total)
+                total += 1e-9 * (len(spare) + total)
                 stale = False
             if largest > most + 1e-9 or bound > total:
                 continue
@@ -318,11 +337,14 @@ class GreedyVacatePlanner:
         move (active when the policy moves none, or idle too briefly).
         ``demand`` (the paper's "total VM memory demand") counts active
         VMs in full and idle ones at the expected working set; ``bound``
-        counts idle ones at the least one the sampler draws, which no
-        plan undercuts (Γ plans take the mean), and ``largest`` is the
-        largest active VM."""
+        counts idle ones at the least size this planner plans them at
+        (the least working set the sampler draws, or for Γ plans the
+        mean, which makes ``bound`` the demand itself), and ``largest``
+        is the largest active VM."""
         expected_ws = self.working_sets.expected_mib()
-        least_ws = self.working_sets.min_mib
+        least_ws = (
+            self.working_sets.min_mib if self.gamma is None else expected_ws
+        )
         min_idle = self.min_idle_intervals
         full_migrate_active = self.policy.full_migrate_active
         active = VmActivity.ACTIVE
@@ -455,8 +477,9 @@ class GreedyVacatePlanner:
         """:meth:`_try_vacate` under the Γ-robust fit rule.
 
         Active VMs move in full with no spike room, idle ones at the
-        size and room of :meth:`_idle_demand`.  ``strategy`` picks among
-        the powered-or-woken hosts that fit, else among sleeping ones.
+        size and room of :meth:`_idle_demand`.  Γ planners place first
+        fit: on the first powered-or-woken host that fits, else on the
+        first sleeping one, found without listing the others.
         """
         migrations: List[PlannedMigration] = []
         placed: List[Tuple[int, float, float, bool]] = []
@@ -470,12 +493,11 @@ class GreedyVacatePlanner:
             else:
                 size, room = self._idle_demand(vm)
                 mode = MigrationMode.PARTIAL
-            candidates = shadow.candidates(size, True, room) or (
-                shadow.candidates(size, False, room)
-            )
-            if not candidates:
-                break
-            destination = self._choose(candidates, shadow)
+            destination = next(shadow.candidates(size, True, room), None)
+            if destination is None:
+                destination = next(shadow.candidates(size, False, room), None)
+                if destination is None:
+                    break
             woke = shadow.place(destination, size, room)
             placed.append((destination, size, room, woke))
             migrations.append(PlannedMigration(

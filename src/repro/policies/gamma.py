@@ -437,16 +437,22 @@ class GammaRobustPlanner(GreedyVacatePlanner):
                          DestinationStrategy.FIRST_FIT)
         self.intervals = intervals
         self.gamma = policy.gamma
+        #: per VM id, its spike ceiling: the interval maximum capped at
+        #: full memory.
+        self._ceilings: Dict[int, float] = {}
 
     def _idle_demand(self, vm: VirtualMachine) -> Tuple[float, float]:
         return self.intervals.interval(vm)
 
     def _resident_room(self, vm: VirtualMachine) -> float:
-        """A partial VM's interval maximum (capped at full memory) minus
-        what it already holds.  Full VMs hold everything and can never
-        spike further."""
+        """A partial VM's spike ceiling minus what it already holds.
+        Full VMs hold everything and can never spike further."""
         if vm.residency is not Residency.PARTIAL:
             return 0.0
-        nominal, deviation = self.intervals.interval(vm)
-        spike = min(nominal + deviation, vm.memory_mib) - vm.resident_mib
+        ceiling = self._ceilings.get(vm.vm_id)
+        if ceiling is None:
+            nominal, deviation = self.intervals.interval(vm)
+            ceiling = min(nominal + deviation, vm.memory_mib)
+            self._ceilings[vm.vm_id] = ceiling
+        spike = ceiling - vm.resident_mib
         return spike if spike > 0.0 else 0.0

@@ -7,18 +7,27 @@ screen's three verdicts itself:
 
 * ``blocked``: an active VM under a policy that moves none, or an idle
   VM idle for fewer than ``min_idle_intervals`` intervals;
-* ``largest``: the largest active VM exceeds every host's free memory;
-* ``bound``: the VMs' least total size (active VMs in full, idle ones
-  at the sampler's least working set) exceeds all free memory.
+* ``largest``: the largest active VM exceeds every host's spare memory;
+* ``bound``: the VMs' least total size exceeds all spare memory.
+
+A host's spare memory is its free memory; under Γ-robust planning it
+is its free memory less the sum of its Γ largest spike rooms, which
+every robust placement leaves free.  The least size counts active VMs
+in full and idle ones at the sampler's least working set, or, under Γ,
+at the demand model's nominal, the size a Γ plan places them at.
 
 For a host the planner skips, the unscreened vacate loop, run on copies
 of the shadow and of the planner's RNG as they stood at its turn, must
 return None, and the real shadow and RNG must be as the previous attempt
-left them.  A host the audit would screen out but the planner attempts
-must fail too.  The verdict counts show each check had work to do.
+left them.  Every skipped host has a verdict, and a host the audit would
+screen out but the planner attempts must fail too.  The counts of
+skipped hosts show each check had work to do; for Γ planners, the
+``gamma`` counts show the Γ-aware checks skipping hosts the
+point-estimate checks would have let through.
 """
 
 import copy
+import heapq
 from collections import Counter
 
 import pytest
@@ -52,8 +61,20 @@ def _demand(planner, host):
     return demand
 
 
-def _verdict(planner, host, shadow):
-    """Which screen check rejects ``host`` against ``shadow``, or None."""
+def _spare(shadow, gamma):
+    """Per host, free memory, less the sum of its Γ largest spike rooms
+    under a Γ."""
+    if gamma is None:
+        return list(shadow.free)
+    return [
+        free - sum(heapq.nlargest(gamma, [-negated for negated in rooms]))
+        for free, rooms in zip(shadow.free, shadow.rooms)
+    ]
+
+
+def _verdict(planner, host, shadow, gamma):
+    """Which screen check, under the fit rule of ``gamma``, rejects
+    ``host`` against ``shadow``, or None."""
     least = planner.working_sets.min_mib
     largest = bound = 0.0
     for vm in host.vms():
@@ -66,11 +87,15 @@ def _verdict(planner, host, shadow):
         else:
             if vm.idle_intervals < planner.min_idle_intervals:
                 return "blocked"
-            bound += min(least, memory)
-    positive = [free for free in shadow.free if free > 0.0]
-    if largest > max(shadow.free) + 1e-9:
+            if gamma is None:
+                bound += min(least, memory)
+            else:
+                bound += planner._idle_demand(vm)[0]
+    spare = _spare(shadow, gamma)
+    positive = [room for room in spare if room > 0.0]
+    if largest > max(spare) + 1e-9:
         return "largest"
-    if bound > sum(positive) + 1e-9 * (len(shadow.free) + sum(positive)):
+    if bound > sum(positive) + 1e-9 * (len(spare) + sum(positive)):
         return "bound"
     return None
 
@@ -80,7 +105,8 @@ class ScreenAudit:
     pass."""
 
     def __init__(self, monkeypatch):
-        self.verdicts = Counter()
+        #: verdicts of the hosts the planner skipped.
+        self.skipped = Counter()
         self.plan = GreedyVacatePlanner.plan
         self.compaction = GreedyVacatePlanner._plan_compaction
         self.loops = {
@@ -144,8 +170,7 @@ class ScreenAudit:
             while self.turns[0] is not host:
                 self._skip(self.turns.pop(0))
             self.turns.pop(0)
-            verdict = _verdict(planner, host, shadow)
-            self.verdicts[verdict] += 1
+            verdict = _verdict(planner, host, shadow, planner.gamma)
             migrations = self.loops[name](planner, host, shadow)
             if verdict is not None:
                 assert migrations is None, (host.host_id, verdict)
@@ -157,7 +182,13 @@ class ScreenAudit:
     def _skip(self, host):
         """Run the unscreened attempt the planner skipped, on copies."""
         planner = self.planner
-        self.verdicts[_verdict(planner, host, self.shadow)] += 1
+        verdict = _verdict(planner, host, self.shadow, planner.gamma)
+        assert verdict is not None, host.host_id
+        self.skipped[verdict] += 1
+        if planner.gamma is not None and (
+            _verdict(planner, host, self.shadow, None) is None
+        ):
+            self.skipped[f"gamma {verdict}"] += 1
         rng = planner.rng
         if rng is not None:
             planner.rng = copy.deepcopy(rng)
@@ -175,7 +206,11 @@ class ScreenAudit:
     ("Default", 1, 3, {"largest", "bound"}),
     ("OnlyPartial", 1, 4, {"blocked"}),
     ("Default", 3, 5, {"blocked"}),
-    ("GammaRobust@1", 1, 6, {"largest", "bound"}),
+    ("GammaRobust@1", 1, 6, {"gamma largest", "gamma bound"}),
+    # Under Γ = 0 the spare is the free memory, so only the bound at
+    # the nominal can skip more than the point-estimate checks.
+    ("GammaRobust@0", 1, 6, {"largest", "bound", "gamma bound"}),
+    ("GammaRobust@3", 1, 7, {"gamma largest", "gamma bound"}),
 ])
 def test_screen_skips_only_hosts_that_cannot_be_vacated(
     monkeypatch, policy, min_idle, seed, checks
@@ -184,4 +219,4 @@ def test_screen_skips_only_hosts_that_cannot_be_vacated(
     config = FarmConfig(**FARM, min_idle_intervals=min_idle)
     simulate_day(config, policy_by_name(policy), DayType.WEEKDAY, seed=seed)
     for check in checks:
-        assert audit.verdicts[check] > 0, audit.verdicts
+        assert audit.skipped[check] > 0, audit.skipped

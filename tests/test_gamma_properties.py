@@ -277,22 +277,42 @@ def _bits(value):
 @pytest.mark.parametrize("seed", range(40))
 def test_shadow_top_rooms_are_nlargest_sums(seed):
     """The shadow's sorted spike rooms give exactly
-    ``sum(nlargest(Γ, spikes + [deviation]))`` — ties, zeros and Γ
-    beyond the spike count included — before and after rollbacks."""
+    ``sum(nlargest(Γ, rooms + [deviation]))`` over all of a host's
+    rooms, those of its resident partial VMs and those placed since,
+    before and after rollbacks, although the shadow keeps only the Γ
+    largest resident rooms.  Ties, zero rooms, more resident rooms than
+    Γ, Γ above the room count and Γ = 0, which keeps no rooms at all,
+    are all covered: Γ and the resident count step through their ranges
+    with the seed."""
     rng = random.Random(seed)
-    gamma = rng.randint(0, 6)
-    shadow = _ShadowCapacity(Cluster(1, 1, 1e12), gamma)
-    host_id = shadow.ids[0]
+    gamma = seed % 7
     pool = [0.0, 0.0, 1.5, 1.5, 0.1, 0.2, 0.3] + [
         rng.uniform(0.0, 3000.0) for _ in range(6)
     ]
-    spikes = []
+    cluster = Cluster(1, 1, 1e12)
+    host = cluster.consolidation_hosts[0]
+    host_id = host.host_id
+    resident = {}
+    for vm_id in range(100, 100 + seed % 13):
+        vm = VirtualMachine(vm_id, 0, 4096.0)
+        vm.become_partial(host_id, 1.0)
+        host.attach(vm)
+        resident[vm_id] = rng.choice(pool)
+    shadow = _ShadowCapacity(
+        cluster, gamma, lambda vm: resident[vm.vm_id]
+    )
+    spikes = list(resident.values())
+    positive = sum(room > 0.0 for room in spikes)
+    assert len(shadow.rooms[0]) == min(gamma, positive)
 
     def check():
         for deviation in pool + [rng.uniform(0.0, 3000.0)]:
             expected = sum(heapq.nlargest(gamma, spikes + [deviation]))
             assert _bits(shadow.top_rooms(0, deviation)) == _bits(expected)
+        if gamma == 0:
+            assert shadow.rooms == [[]]
 
+    check()
     for _ in range(8):
         placed = []
         for _ in range(rng.randint(1, 6)):
