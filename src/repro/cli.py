@@ -776,7 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
     perfbench.add_argument(
         "--check", default=None, metavar="PATH",
         help="committed report to gate against; exit 1 if any shared "
-             "case regressed more than --check-limit",
+             "case regressed more than --check-limit or changed its "
+             "fingerprint",
     )
     perfbench.add_argument(
         "--check-limit", type=float, default=2.5,

@@ -5,7 +5,7 @@ throughput across policies and cluster scales, emits a sorted-key JSON
 report (``BENCH_hotpath.json`` at the repo root), and prints a cProfile
 top-N table of the hottest simulator frames.  The committed report is
 the baseline every future perf PR measures against; CI replays the
-quick subset and fails on a large regression (see
+quick subset and fails on a large regression or a changed result (see
 :func:`check_regression`).
 
 Determinism: this package lives inside the DET checker scope, so it

@@ -9,10 +9,11 @@ The report written to ``BENCH_hotpath.json`` has three layers:
   computed when a baseline is attached.
 
 :func:`check_regression` is the CI gate: it compares a fresh quick run
-against the committed report and fails only on a large (default 2.5×)
+against the committed report and fails on a large (default 2.5×)
 slowdown of any shared case — generous enough to ride out noisy CI
 hosts, tight enough to catch an accidental O(V)-per-interval
-reintroduction.
+reintroduction — and on any change to a shared case's fingerprint,
+so a case no golden pins cannot change its results unseen.
 """
 
 from __future__ import annotations
@@ -104,6 +105,12 @@ def _best_s(case_block: object) -> Optional[float]:
     return None
 
 
+def _fingerprint(case_block: object) -> object:
+    if not isinstance(case_block, dict):
+        return None
+    return case_block.get("fingerprint")
+
+
 def attach_baseline(
     report: Dict[str, object], baseline_report: Dict[str, object]
 ) -> Dict[str, object]:
@@ -135,13 +142,29 @@ def validate_limit(limit: float) -> None:
         )
 
 
+def _first_difference(before: object, after: object, path: str) -> str:
+    """The dotted path of the first key, in sorted order, at which two
+    fingerprints differ; empty if they are equal."""
+    if not (isinstance(before, dict) and isinstance(after, dict)):
+        return "" if before == after else path
+    for key in sorted(set(before) | set(after)):
+        where = f"{path}.{key}"
+        if key not in before or key not in after:
+            return where
+        found = _first_difference(before[key], after[key], where)
+        if found:
+            return found
+    return ""
+
+
 def check_regression(
     report: Dict[str, object],
     baseline_report: Dict[str, object],
     limit: float = 2.5,
 ) -> List[str]:
     """Failure messages for every shared case that got > ``limit``×
-    slower than the baseline; empty list means the gate passes."""
+    slower than the baseline or whose fingerprint differs from it;
+    empty list means the gate passes."""
     validate_limit(limit)
     current_cases = report.get("cases", {})
     baseline_cases = baseline_report.get("cases", {})
@@ -160,6 +183,14 @@ def check_regression(
             failures.append(
                 f"{name}: {after:.3f} s vs baseline {before:.3f} s "
                 f"({after / before:.2f}x > {limit}x limit)"
+            )
+        differs = _first_difference(
+            _fingerprint(baseline_cases[name]),
+            _fingerprint(current_cases[name]), "fingerprint",
+        )
+        if differs:
+            failures.append(
+                f"{name}: result differs from the baseline at {differs}"
             )
     return failures
 
