@@ -147,9 +147,9 @@ def default_cases() -> List[BenchCase]:
                       "weekday", 0, 30, 4, 30, repeats=3)
         )
     for gamma in (1, 3):
-        # The robust planner's nlargest-per-candidate-bin inner loop is
-        # the new hot path; pin it at the headline scale for both a
-        # light and a heavy Γ.
+        # The robust planner (sorted spike rooms, O(Γ) probes, first
+        # fit) is its own hot path; pin it at the headline scale for
+        # both a light and a heavy Γ.
         cases.append(
             BenchCase(f"day/GammaRobust@{gamma}/900vms", "simulate_day",
                       f"GammaRobust@{gamma}", "weekday", 0, 30, 4, 30,
