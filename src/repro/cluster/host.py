@@ -34,6 +34,12 @@ from repro.errors import CapacityError, MigrationError, PowerStateError
 from repro.vm.machine import VirtualMachine
 from repro.vm.state import Residency
 
+# Hot-path enum members, read once (DESIGN.md §12, rule 2).
+_FULL_RESIDENCY = Residency.FULL
+_PARTIAL_RESIDENCY = Residency.PARTIAL
+_POWERED = PowerState.POWERED
+_SLEEPING = PowerState.SLEEPING
+
 
 class HostRole(enum.Enum):
     """Cluster role (Figure 3)."""
@@ -156,7 +162,7 @@ class Host:
             raise MigrationError(
                 f"VM {vm_id} is already on host {self.host_id}"
             )
-        full = vm.residency is Residency.FULL
+        full = vm.residency is _FULL_RESIDENCY
         if full:
             size = vm.memory_mib
         else:
@@ -184,7 +190,7 @@ class Host:
                 f"VM {vm_id} is not running on host {self.host_id}"
             )
         del vms[vm_id]
-        full = vm.residency is Residency.FULL
+        full = vm.residency is _FULL_RESIDENCY
         if full:
             size = vm.memory_mib
         else:
@@ -205,7 +211,7 @@ class Host:
         with spare capacity): the remaining image is pulled in and this
         host becomes the VM's new home."""
         vm = self.get_vm(vm_id)
-        if vm.residency is not Residency.PARTIAL:
+        if vm.residency is not _PARTIAL_RESIDENCY:
             raise MigrationError(f"VM {vm_id} is not partial")
         old_resident = vm.resident_mib
         old_fraction = vm.resident_fraction
@@ -227,7 +233,7 @@ class Host:
         caller then falls back to the capacity-exhausted policy.
         """
         vm = self.get_vm(vm_id)
-        if vm.residency is not Residency.PARTIAL:
+        if vm.residency is not _PARTIAL_RESIDENCY:
             raise MigrationError(f"VM {vm_id} is not partial")
         if delta_mib < 0.0:
             raise MigrationError("working-set growth must be non-negative")
@@ -306,11 +312,11 @@ class Host:
 
     @property
     def is_powered(self) -> bool:
-        return self._power_state is PowerState.POWERED
+        return self._power_state is _POWERED
 
     @property
     def is_sleeping(self) -> bool:
-        return self._power_state is PowerState.SLEEPING
+        return self._power_state is _SLEEPING
 
     def begin_suspend(self) -> None:
         """Start suspending to RAM; illegal while any VM runs here."""

@@ -17,6 +17,11 @@ from repro.errors import ConfigError
 from repro.vm.machine import VirtualMachine
 from repro.vm.state import Residency
 
+# Hot-path enum members, read once (DESIGN.md §12, rule 2).
+_FULL_RESIDENCY = Residency.FULL
+_POWERED = PowerState.POWERED
+_COMPUTE = HostRole.COMPUTE
+
 
 class Cluster:
     """A rack of identical hosts split into home and consolidation roles.
@@ -69,12 +74,12 @@ class Cluster:
 
     def _on_power_edge(self, host: Host, previous, state) -> None:
         """Host power-state listener: maintain the powered-count index."""
-        was_powered = previous is PowerState.POWERED
-        now_powered = host.is_powered
+        was_powered = previous is _POWERED
+        now_powered = state is _POWERED
         if was_powered == now_powered:
             return
         delta = 1 if now_powered else -1
-        if host.role is HostRole.COMPUTE:
+        if host.role is _COMPUTE:
             self._powered_home += delta
         else:
             self._powered_consolidation += delta
@@ -194,7 +199,7 @@ class Cluster:
           the old home stops serving.
         """
         vm_id = vm.vm_id
-        if vm.residency is Residency.FULL:
+        if vm.residency is _FULL_RESIDENCY:
             source.detach(vm_id)
             if working_set_mib is None:
                 vm.full_migrate(destination.host_id)

@@ -27,8 +27,16 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.policies.gamma import DemandIntervalModel, GammaRobustPlanner
 from repro.simulator.randomness import RngStreams
 from repro.vm.machine import VirtualMachine
-from repro.vm.state import Residency
+from repro.vm.state import Residency, VmActivity
 from repro.vm.workingset import WorkingSetSampler
+
+# Hot-path enum members, read once (DESIGN.md §12, rule 2).
+_FULL_RESIDENCY = Residency.FULL
+_ACTIVE = VmActivity.ACTIVE
+_ALREADY_FULL = ActivationAction.ALREADY_FULL
+_CONVERT_IN_PLACE = ActivationAction.CONVERT_IN_PLACE
+_MIGRATE_NEW_HOME = ActivationAction.MIGRATE_NEW_HOME
+_WAKE_HOME_RETURN_ALL = ActivationAction.WAKE_HOME_RETURN_ALL
 
 
 class ClusterManager:
@@ -102,7 +110,10 @@ class ClusterManager:
             if not host.is_powered:
                 continue
             for vm in host.vms():
-                if vm.residency is not Residency.FULL or vm.is_active:
+                if (
+                    vm.residency is not _FULL_RESIDENCY
+                    or vm.activity is _ACTIVE
+                ):
                     continue
                 if vm.idle_intervals < self.min_idle_intervals:
                     continue
@@ -135,9 +146,9 @@ class ClusterManager:
         back *all* of its VMs, since a woken host makes its partial
         replicas pure overhead.
         """
-        if vm.residency is Residency.FULL:
+        if vm.residency is _FULL_RESIDENCY:
             return self._traced(ActivationDecision(
-                vm.vm_id, ActivationAction.ALREADY_FULL, vm.host_id
+                vm.vm_id, _ALREADY_FULL, vm.host_id
             ))
 
         host = self.cluster.host(vm.host_id)
@@ -147,18 +158,18 @@ class ClusterManager:
 
         if self.policy.convert_in_place and host.can_fit(remaining_mib):
             return self._traced(ActivationDecision(
-                vm.vm_id, ActivationAction.CONVERT_IN_PLACE, host.host_id
+                vm.vm_id, _CONVERT_IN_PLACE, host.host_id
             ))
 
         if self.policy.rehome_on_exhaustion:
             destination = self._find_new_home(vm)
             if destination is not None:
                 return self._traced(ActivationDecision(
-                    vm.vm_id, ActivationAction.MIGRATE_NEW_HOME, destination
+                    vm.vm_id, _MIGRATE_NEW_HOME, destination
                 ))
 
         return self._traced(ActivationDecision(
-            vm.vm_id, ActivationAction.WAKE_HOME_RETURN_ALL, vm.home_id
+            vm.vm_id, _WAKE_HOME_RETURN_ALL, vm.home_id
         ))
 
     def _traced(self, decision: ActivationDecision) -> ActivationDecision:

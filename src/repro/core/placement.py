@@ -50,6 +50,16 @@ class DestinationStrategy(enum.Enum):
     WORST_FIT = "worst_fit"
 
 
+# Hot-path enum members, read once (DESIGN.md §12, rule 2).
+_RANDOM = DestinationStrategy.RANDOM
+_FIRST_FIT = DestinationStrategy.FIRST_FIT
+_BEST_FIT = DestinationStrategy.BEST_FIT
+_PARTIAL_RESIDENCY = Residency.PARTIAL
+_ACTIVE = VmActivity.ACTIVE
+_FULL_MODE = MigrationMode.FULL
+_PARTIAL_MODE = MigrationMode.PARTIAL
+
+
 class _ShadowCapacity:
     """Free memory per consolidation host as the plan takes shape.
 
@@ -316,10 +326,10 @@ class GreedyVacatePlanner:
                 destination = self._choose(choices, shadow)
                 shadow.place(destination, size, room)
                 placed.append((destination, size, room))
-                partial = vm.residency is Residency.PARTIAL
+                partial = vm.residency is _PARTIAL_RESIDENCY
                 migrations.append(PlannedMigration(
                     vm.vm_id, source_id, destination,
-                    MigrationMode.PARTIAL if partial else MigrationMode.FULL,
+                    _PARTIAL_MODE if partial else _FULL_MODE,
                     vm.working_set_mib if partial else None,
                 ))
             else:
@@ -347,7 +357,6 @@ class GreedyVacatePlanner:
         )
         min_idle = self.min_idle_intervals
         full_migrate_active = self.policy.full_migrate_active
-        active = VmActivity.ACTIVE
         queue = []
         for host in cluster.home_hosts:
             if not host.is_powered or not host.vm_count:
@@ -355,7 +364,7 @@ class GreedyVacatePlanner:
             demand = largest = bound = 0.0
             for vm in host._vms.values():
                 memory = vm.memory_mib
-                if vm.activity is active:
+                if vm.activity is _ACTIVE:
                     if not full_migrate_active:
                         break
                     demand += memory
@@ -390,7 +399,7 @@ class GreedyVacatePlanner:
         sample_working_set = self.working_sets.sample
         min_idle = self.min_idle_intervals
         full_migrate_active = self.policy.full_migrate_active
-        random_strategy = self.strategy is DestinationStrategy.RANDOM
+        random_strategy = self.strategy is _RANDOM
         ids = shadow.ids
         free = shadow.free
         effective = shadow.effective
@@ -398,18 +407,15 @@ class GreedyVacatePlanner:
         woken = shadow.woken
         positions = range(len(ids))
         source_id = host.host_id
-        active = VmActivity.ACTIVE
-        partial_mode = MigrationMode.PARTIAL
-        full_mode = MigrationMode.FULL
         migrations: List[PlannedMigration] = []
         placed: List = []  # (position, size, woke) for rollback
         for vm in host._vms.values():
-            if vm.activity is active:
+            if vm.activity is _ACTIVE:
                 if not full_migrate_active:
                     break
                 working_set = None
                 size = vm.memory_mib
-                mode = full_mode
+                mode = _FULL_MODE
             else:
                 # Inlined VirtualMachine.idle_intervals (clock-anchored
                 # streak or the eagerly maintained base count).
@@ -426,7 +432,7 @@ class GreedyVacatePlanner:
                 if working_set > memory:
                     working_set = memory
                 size = working_set
-                mode = partial_mode
+                mode = _PARTIAL_MODE
             # Inlined candidate scan: powered (or woken) hosts first,
             # then sleeping ones; ascending host id within each tier.
             candidates = []
@@ -484,15 +490,15 @@ class GreedyVacatePlanner:
         migrations: List[PlannedMigration] = []
         placed: List[Tuple[int, float, float, bool]] = []
         for vm in host.vms():
-            if vm.activity is VmActivity.ACTIVE:
+            if vm.activity is _ACTIVE:
                 if not self.policy.full_migrate_active:
                     break
-                size, room, mode = vm.memory_mib, 0.0, MigrationMode.FULL
+                size, room, mode = vm.memory_mib, 0.0, _FULL_MODE
             elif vm.idle_intervals < self.min_idle_intervals:
                 break
             else:
                 size, room = self._idle_demand(vm)
-                mode = MigrationMode.PARTIAL
+                mode = _PARTIAL_MODE
             destination = next(shadow.candidates(size, True, room), None)
             if destination is None:
                 destination = next(shadow.candidates(size, False, room), None)
@@ -502,7 +508,7 @@ class GreedyVacatePlanner:
             placed.append((destination, size, room, woke))
             migrations.append(PlannedMigration(
                 vm.vm_id, host.host_id, destination, mode,
-                size if mode is MigrationMode.PARTIAL else None,
+                size if mode is _PARTIAL_MODE else None,
             ))
         else:
             return migrations
@@ -522,11 +528,12 @@ class GreedyVacatePlanner:
         return 0.0
 
     def _choose(self, candidates: List[int], shadow: _ShadowCapacity) -> int:
-        if self.strategy is DestinationStrategy.RANDOM:
+        strategy = self.strategy
+        if strategy is _RANDOM:
             return self.rng.choice(candidates)
-        if self.strategy is DestinationStrategy.FIRST_FIT:
+        if strategy is _FIRST_FIT:
             return min(candidates)
-        if self.strategy is DestinationStrategy.BEST_FIT:
+        if strategy is _BEST_FIT:
             return min(
                 candidates,
                 key=lambda host_id: shadow.free[shadow.index[host_id]],

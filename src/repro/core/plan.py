@@ -22,6 +22,10 @@ class MigrationMode(enum.Enum):
     PARTIAL = "partial"
 
 
+# Hot-path enum members, read once (DESIGN.md §12, rule 2).
+_PARTIAL_MODE = MigrationMode.PARTIAL
+
+
 class PlannedMigration:
     """One migration order.
 
@@ -49,7 +53,7 @@ class PlannedMigration:
                 f"VM {vm_id}: source and destination are both "
                 f"{source_id}"
             )
-        if mode is MigrationMode.PARTIAL:
+        if mode is _PARTIAL_MODE:
             if working_set_mib is None or working_set_mib <= 0.0:
                 raise ConfigError(
                     f"VM {vm_id}: partial migration needs a positive "

@@ -23,6 +23,11 @@ __all__ = [
     "SURCHARGE_STATE",
 ]
 
+# The ledger positions record_* charges, read once (DESIGN.md §12).
+_DESCRIPTOR_INDEX = TrafficCategory.PARTIAL_DESCRIPTOR.ledger_index
+_UPLOAD_INDEX = TrafficCategory.MEMORY_UPLOAD_SAS.ledger_index
+_ON_DEMAND_INDEX = TrafficCategory.ON_DEMAND_PAGES.ledger_index
+
 
 class FarmAccountingLedger(EnergyAccountant):
     """Energy, state time, traffic, and counters for one simulated day.
@@ -51,16 +56,13 @@ class FarmAccountingLedger(EnergyAccountant):
         ledger = self.traffic
         mib = ledger._mib
         events = ledger._events
-        index = TrafficCategory.PARTIAL_DESCRIPTOR.ledger_index
-        mib[index] += descriptor_mib
-        events[index] += 1
-        index = TrafficCategory.MEMORY_UPLOAD_SAS.ledger_index
-        mib[index] += upload_mib
-        events[index] += 1
+        mib[_DESCRIPTOR_INDEX] += descriptor_mib
+        events[_DESCRIPTOR_INDEX] += 1
+        mib[_UPLOAD_INDEX] += upload_mib
+        events[_UPLOAD_INDEX] += 1
 
     def record_on_demand(self, demand_mib: float) -> None:
         """Charge one consolidation episode's demand-fault traffic."""
         ledger = self.traffic
-        index = TrafficCategory.ON_DEMAND_PAGES.ledger_index
-        ledger._mib[index] += demand_mib
-        ledger._events[index] += 1
+        ledger._mib[_ON_DEMAND_INDEX] += demand_mib
+        ledger._events[_ON_DEMAND_INDEX] += 1

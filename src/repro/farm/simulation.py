@@ -74,6 +74,20 @@ _FULL = TrafficCategory.FULL_MIGRATION
 _UPLOAD = TrafficCategory.MEMORY_UPLOAD_SAS
 _DESCRIPTOR = TrafficCategory.PARTIAL_DESCRIPTOR
 _REINTEGRATION = TrafficCategory.REINTEGRATION
+_ON_DEMAND = TrafficCategory.ON_DEMAND_PAGES
+
+# Hot-path enum members, read once (DESIGN.md §12, rule 2).
+_FULL_RESIDENCY = Residency.FULL
+_PARTIAL_RESIDENCY = Residency.PARTIAL
+_POWERED = PowerState.POWERED
+_SUSPENDING = PowerState.SUSPENDING
+_RESUMING = PowerState.RESUMING
+_SLEEPING = PowerState.SLEEPING
+_COMPUTE = HostRole.COMPUTE
+_PARTIAL_MODE = MigrationMode.PARTIAL
+_ALREADY_FULL = ActivationAction.ALREADY_FULL
+_CONVERT_IN_PLACE = ActivationAction.CONVERT_IN_PLACE
+_MIGRATE_NEW_HOME = ActivationAction.MIGRATE_NEW_HOME
 
 #: Each migration kind's mechanism, keyed by its trace kind: the
 #: bottleneck it serializes on (``nic`` or ``sas``) and whether that is
@@ -193,7 +207,7 @@ class FarmSimulation:
         self._jitter_rng = self.streams.get("activation-jitter")
         self._traffic_rng = self.streams.get("traffic")
         # The kind table with this run's cost fields looked up once.
-        costs = config.costs
+        costs = self._costs = config.costs
         self._move_kinds = {
             kind: (
                 resource, on_destination, getattr(costs, latency),
@@ -220,6 +234,16 @@ class FarmSimulation:
             self.streams.get("faults.plan"),
         )
         self.faults = self.ledger.faults
+        # The per-commit fault queries, None when their class is off
+        # (the injector would draw nothing for it).
+        self._migration_abort = (
+            self._injector.migration_abort
+            if self.fault_profile.migration_abort_prob > 0.0 else None
+        )
+        self._page_timeouts = (
+            self._injector.page_timeouts
+            if self.fault_profile.page_timeout_prob > 0.0 else None
+        )
         #: Host id -> final ready time of an in-flight faulty wake chain,
         #: or None while a chain that will give up plays out.
         self._wake_pending: Dict[int, Optional[float]] = {}
@@ -252,7 +276,8 @@ class FarmSimulation:
         #: event callback returns (see _refresh_power/_flush_power).
         self._power_dirty: Set[int] = set()
         # Hot-path caches.  The host list is stable (ascending host_id,
-        # matching cluster iteration order); the power coefficients feed
+        # matching cluster iteration order) and, host ids being dense
+        # from 0, indexed by host id; the power coefficients feed
         # _refresh_power_now's inlined powered/sleeping formulas, which
         # mirror HostPowerProfile.powered_watts exactly.
         self._all_hosts = self.cluster.hosts
@@ -361,11 +386,10 @@ class FarmSimulation:
                     self._run_planning(now)
             else:
                 self._run_planning(now)
-        powered = PowerState.POWERED
         dirty_add = self._power_dirty.add
         consider_suspend = self._consider_suspend
         for host in self._all_hosts:
-            if host._power_state is powered:
+            if host._power_state is _POWERED:
                 dirty_add(host.host_id)
                 if not host._vms:
                     consider_suspend(host)
@@ -388,8 +412,7 @@ class FarmSimulation:
         self._interval_clock.index = index
         vms = self.vms
         active_count = self._active_count
-        full = Residency.FULL
-        already_full = ActivationAction.ALREADY_FULL.value
+        already_full = _ALREADY_FULL.value
         record_delay = self.result.delays.record
         uniform = self._jitter_rng.uniform
         schedule = self.sim.schedule
@@ -402,7 +425,7 @@ class FarmSimulation:
             vm.apply_activity_edge(active)
             if active:
                 active_count += 1
-                if vm.residency is full:
+                if vm.residency is _FULL_RESIDENCY:
                     # Full VMs already hold all their resources (§5.5).
                     record_delay(now, vm_id, 0.0, already_full)
                 else:
@@ -523,9 +546,9 @@ class FarmSimulation:
         # VMs mid-pass (sorted() already snapshotted the membership).
         for vm_id in sorted(self._partial_vms):
             vm = self.vms[vm_id]
-            if vm.residency is not Residency.PARTIAL:
+            if vm.residency is not _PARTIAL_RESIDENCY:
                 continue
-            host = self.cluster.host(vm.host_id)
+            host = self._all_hosts[vm.host_id]
             try:
                 host.grow_partial_vm(vm_id, delta)
             except CapacityError:
@@ -555,16 +578,16 @@ class FarmSimulation:
         vm = self.vms[vm_id]
         decision = self.manager.decide_activation(vm)
         action = decision.action
-        if action is ActivationAction.ALREADY_FULL:
+        if action is _ALREADY_FULL:
             # The VM already holds all of its resources where it runs
             # (it was returned by a sibling's wake-up, or was never
             # consolidated): the user sees no delay (§5.5).
             completed = now
-        elif action is ActivationAction.CONVERT_IN_PLACE:
+        elif action is _CONVERT_IN_PLACE:
             completed = self._activate_on_powered_host(
                 vm, vm.host_id, "convert_in_place", now
             )
-        elif action is ActivationAction.MIGRATE_NEW_HOME:
+        elif action is _MIGRATE_NEW_HOME:
             completed = self._activate_on_powered_host(
                 vm, decision.target_host_id, "rehome", now
             )
@@ -586,8 +609,9 @@ class FarmSimulation:
         """Make an activated partial VM full without waking its home
         (§3.2): convert it in place (``destination_id`` is its host) or
         re-home it; returns when the user stops waiting."""
-        source = self.cluster.host(vm.host_id)
-        destination = self.cluster.host(destination_id)
+        hosts = self._all_hosts
+        source = hosts[vm.host_id]
+        destination = hosts[destination_id]
         end = self._move(
             vm, source, destination, kind, now, fault_exempt=fault_exempt
         )
@@ -625,7 +649,8 @@ class FarmSimulation:
         rescue invocations (crash recovery, post-give-up fallback) that
         must not themselves draw faults.
         """
-        home = self.cluster.host(trigger.home_id)
+        hosts = self._all_hosts
+        home = hosts[trigger.home_id]
         ready = self._wake_host(home, fault_exempt=fault_exempt)
         if ready is None:
             # The home refuses to wake: recover the trigger elsewhere.
@@ -638,8 +663,8 @@ class FarmSimulation:
             key=lambda vid: (vid != trigger_id, vid),
         )
         vms = self.vms
-        hostof = self.cluster.host
         move = self._move
+        consider_suspend = self._consider_suspend
         dirty_add = self._power_dirty.add
         for vm_id in returning:
             vm = vms[vm_id]
@@ -647,7 +672,7 @@ class FarmSimulation:
                 # Foreign re-homed VMs may crowd the host; leave the
                 # stragglers consolidated rather than over-commit.
                 continue
-            source = hostof(vm.host_id)
+            source = hosts[vm.host_id]
             # Reintegrations queue on the woken home's NIC: a resume
             # storm of many VMs returning to one host is what produces
             # the Figure 11 tail.
@@ -670,7 +695,7 @@ class FarmSimulation:
                 )
             if vm_id == trigger_id:
                 trigger_end = end
-            self._consider_suspend(source)
+            consider_suspend(source)
             dirty_add(source.host_id)
         self._return_full_vms_home(home, now, fault_exempt=fault_exempt)
         dirty_add(home.host_id)
@@ -721,17 +746,17 @@ class FarmSimulation:
         if not bucket:
             return
         vms = self.vms
-        full = Residency.FULL
+        hosts = self._all_hosts
         # The sorted away-full index visits the same VMs in the same
         # ascending-vm_id order as the full rescan it replaces, so the
         # can_fit/break sequencing (and hence RNG draws) is unchanged.
         for vm_id in sorted(bucket):
             vm = vms[vm_id]
-            if vm.host_id == home_id or vm.residency is not full:
+            if vm.host_id == home_id or vm.residency is not _FULL_RESIDENCY:
                 continue
             if vm.memory_mib > home.capacity_mib - home._used_mib + 1e-9:
                 break
-            source = self.cluster.host(vm.host_id)
+            source = hosts[vm.host_id]
             # An aborted return leaves the VM full where it is; the next
             # wake of this home retries it.
             if self._move(
@@ -790,12 +815,13 @@ class FarmSimulation:
 
     def _execute_compaction(self, plan: HostVacatePlan, now: float) -> None:
         """Empty one consolidation host into its powered peers."""
-        source = self.cluster.host(plan.host_id)
+        hosts = self._all_hosts
+        source = hosts[plan.host_id]
         # An aborted move rolls back: the VM stays put; the host simply
         # is not emptied this round and a later pass retries.
         for migration in plan.migrations:
-            destination = self.cluster.host(migration.destination_id)
-            partial = migration.mode is MigrationMode.PARTIAL
+            destination = hosts[migration.destination_id]
+            partial = migration.mode is _PARTIAL_MODE
             if self._move(
                 self.vms[migration.vm_id], source, destination,
                 "relocate_partial" if partial else "compact_full", now,
@@ -806,18 +832,18 @@ class FarmSimulation:
         self._consider_suspend(source)
 
     def _execute_vacation(self, vacation: HostVacatePlan, now: float) -> None:
-        source = self.cluster.host(vacation.host_id)
-        powered = PowerState.POWERED
+        hosts = self._all_hosts
+        source = hosts[vacation.host_id]
         # An aborted move rolls back: the VM stays on the source host,
         # which therefore cannot be vacated this round.
         for migration in vacation.migrations:
-            destination = self.cluster.host(migration.destination_id)
+            destination = hosts[migration.destination_id]
             ready: Optional[float] = now
-            if destination._power_state is not powered:
+            if destination._power_state is not _POWERED:
                 ready = self._wake_host(destination)
                 if ready is None:
                     continue  # destination will not wake; VM stays put
-            partial = migration.mode is MigrationMode.PARTIAL
+            partial = migration.mode is _PARTIAL_MODE
             if self._move(
                 self.vms[migration.vm_id], source, destination,
                 "vacate_partial" if partial else "vacate_full", now,
@@ -867,9 +893,10 @@ class FarmSimulation:
         bottleneck = (
             resource, destination.host_id if on_destination else source.host_id
         )
-        costs = self.config.costs
+        costs = self._costs
         rng = self._traffic_rng
-        fraction = None if fault_exempt else self._injector.migration_abort()
+        abort = self._migration_abort
+        fraction = None if fault_exempt or abort is None else abort()
         # The nominal volume.  A partial migration draws its descriptor
         # only when it commits, ahead of its SAS upload.
         if category is _UPLOAD:
@@ -908,13 +935,8 @@ class FarmSimulation:
             self._settle(vm_id, end)
             return None
         start, end = self.scheduler.reserve_one(
-            bottleneck,
-            now,
-            latency_s,
-            occupancy_s=occupancy_s,
-            not_before=(
-                settles.get(vm_id, 0.0) if not_before is None else not_before
-            ),
+            bottleneck, now, latency_s, occupancy_s,
+            settles.get(vm_id, 0.0) if not_before is None else not_before,
         )
         old_home_id = vm.home_id
         self.cluster.move(vm, source, destination, working_set_mib)
@@ -949,7 +971,10 @@ class FarmSimulation:
             self._close_episode(vm_id)
         counters = ledger.counters
         setattr(counters, counter, getattr(counters, counter) + 1)
-        self._settle(vm_id, end if end >= ready else ready)
+        # The settle mark (see _settle), written inline.
+        settled = end if end >= ready else ready
+        settles[vm_id] = settled
+        heappush(self._settle_heap, (settled, vm_id))
         return end
 
     def _settle(self, vm_id: int, settles_at: float) -> None:
@@ -967,12 +992,13 @@ class FarmSimulation:
         the same wire) and is additionally tracked per-fault.
         """
         self._episode_open.discard(vm_id)
-        demand_mib = self.config.costs.sample_on_demand_mib(self._traffic_rng)
+        demand_mib = self._costs.sample_on_demand_mib(self._traffic_rng)
         self.ledger.record_on_demand(demand_mib)
-        timeouts = self._injector.page_timeouts()
+        page_timeouts = self._page_timeouts
+        timeouts = 0 if page_timeouts is None else page_timeouts()
         if timeouts:
             retry_mib = timeouts * self.fault_profile.page_retry_mib
-            self.ledger.traffic.add(TrafficCategory.ON_DEMAND_PAGES, retry_mib)
+            self.ledger.traffic.add(_ON_DEMAND, retry_mib)
             self.faults.page_fetch_timeouts += timeouts
             self.faults.page_retry_traffic_mib += retry_mib
             self._trace_fault(
@@ -1054,12 +1080,12 @@ class FarmSimulation:
                 label=f"resume-{host_id}",
             )
             return ready
-        state = host.power_state
-        if state is PowerState.POWERED:
+        state = host._power_state
+        if state is _POWERED:
             return now
-        if state is PowerState.RESUMING:
+        if state is _RESUMING:
             return self._transition_done[host_id]
-        if state is PowerState.SLEEPING:
+        if state is _SLEEPING:
             self._count_wakeup(host)
             outcome = (
                 CLEAN_WAKE if fault_exempt else self._injector.wake_outcome()
@@ -1179,7 +1205,7 @@ class FarmSimulation:
             return
         self.faults.memserver_crashes += 1
         self._trace_fault("fault.memserver_crash", host=host_id)
-        if host.power_state in (PowerState.POWERED, PowerState.RESUMING):
+        if host.power_state in (_POWERED, _RESUMING):
             # The host is up (or waking): the dead server is detected
             # and swapped before it ever matters.
             return
@@ -1202,7 +1228,7 @@ class FarmSimulation:
         self._flush_power()
 
     def _count_wakeup(self, host: Host) -> None:
-        if host.role is HostRole.COMPUTE:
+        if host.role is _COMPUTE:
             self.ledger.counters.home_wakeups += 1
         else:
             self.ledger.counters.consolidation_wakeups += 1
@@ -1222,7 +1248,7 @@ class FarmSimulation:
         """Schedule a guarded suspend once the host drains its queue."""
         if host.host_id in self._suspend_pending:
             return
-        if not host.is_powered or host.vm_count > 0:
+        if host._power_state is not _POWERED or host._vms:
             return
         self._suspend_pending.add(host.host_id)
         horizon = max(self.sim.now, self._host_release_after(host.host_id))
@@ -1317,21 +1343,22 @@ class FarmSimulation:
         dirty = self._power_dirty
         if not dirty:
             return
-        host = self.cluster.host
+        hosts = self._all_hosts
+        refresh = self._refresh_power_now
         for host_id in sorted(dirty):
-            self._refresh_power_now(host(host_id))
+            refresh(hosts[host_id])
         dirty.clear()
 
     def _refresh_power_now(self, host: Host) -> None:
-        state = host.power_state
-        if state is PowerState.POWERED:
+        state = host._power_state
+        if state is _POWERED:
             # Inlined HostPowerProfile.powered_watts.
             watts = self._power_idle_w + self._power_per_vm_w * (
                 host._full_count + host._partial_fraction
             )
-        elif state is PowerState.SUSPENDING:
+        elif state is _SUSPENDING:
             watts = self._host_power.suspend_w
-        elif state is PowerState.RESUMING:
+        elif state is _RESUMING:
             watts = self._host_power.resume_w
         else:  # SLEEPING
             served_w = self._sleep_served_w

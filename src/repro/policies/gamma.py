@@ -71,6 +71,8 @@ __all__ = [
 
 #: Numerical slack for capacity comparisons, matching the shadow index.
 _EPS = 1e-9
+# Hot-path enum members, read once (DESIGN.md §12, rule 2).
+_PARTIAL_RESIDENCY = Residency.PARTIAL
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +449,7 @@ class GammaRobustPlanner(GreedyVacatePlanner):
     def _resident_room(self, vm: VirtualMachine) -> float:
         """A partial VM's spike ceiling minus what it already holds.
         Full VMs hold everything and can never spike further."""
-        if vm.residency is not Residency.PARTIAL:
+        if vm.residency is not _PARTIAL_RESIDENCY:
             return 0.0
         ceiling = self._ceilings.get(vm.vm_id)
         if ceiling is None:

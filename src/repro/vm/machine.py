@@ -24,6 +24,12 @@ from repro.errors import MigrationError
 from repro.units import DEFAULT_VM_MEMORY_MIB
 from repro.vm.state import Residency, VmActivity
 
+# Hot-path enum members, read once (DESIGN.md §12, rule 2); state
+# assignments keep the literal member, which SM102 checks.
+_FULL_RESIDENCY = Residency.FULL
+_PARTIAL_RESIDENCY = Residency.PARTIAL
+_ACTIVE = VmActivity.ACTIVE
+
 
 class IntervalClock:
     """A shared trace-interval counter for lazy idle-streak tracking.
@@ -85,16 +91,16 @@ class VirtualMachine:
 
     @property
     def is_active(self) -> bool:
-        return self.activity is VmActivity.ACTIVE
+        return self.activity is _ACTIVE
 
     @property
     def is_partial(self) -> bool:
-        return self.residency is Residency.PARTIAL
+        return self.residency is _PARTIAL_RESIDENCY
 
     @property
     def resident_mib(self) -> float:
         """Memory the VM occupies on the host where it runs."""
-        if self.residency is Residency.FULL:
+        if self.residency is _FULL_RESIDENCY:
             return self.memory_mib
         if self.working_set_mib is None:
             raise MigrationError(f"partial VM {self.vm_id} has no working set")
@@ -176,7 +182,7 @@ class VirtualMachine:
         The full image stays behind with the current home, whose memory
         server will service page faults.
         """
-        if self.residency is Residency.PARTIAL:
+        if self.residency is _PARTIAL_RESIDENCY:
             raise MigrationError(f"VM {self.vm_id} is already partial")
         if destination_id == self.home_id:
             raise MigrationError(
@@ -194,7 +200,7 @@ class VirtualMachine:
 
     def relocate_partial(self, destination_id: int) -> None:
         """Move a partial VM to another consolidation host (same home)."""
-        if self.residency is not Residency.PARTIAL:
+        if self.residency is not _PARTIAL_RESIDENCY:
             raise MigrationError(f"VM {self.vm_id} is not partial")
         if destination_id == self.home_id:
             raise MigrationError(
@@ -205,7 +211,7 @@ class VirtualMachine:
     def reintegrate(self) -> None:
         """Return a partial VM to its home; dirty state merges into the
         full image and the VM becomes full again."""
-        if self.residency is not Residency.PARTIAL:
+        if self.residency is not _PARTIAL_RESIDENCY:
             raise MigrationError(f"VM {self.vm_id} is not partial")
         self.residency = Residency.FULL
         self.host_id = self.home_id
@@ -222,7 +228,7 @@ class VirtualMachine:
         NewHome policy, §3.2): the working set moves from the current
         host and the remainder streams from the old home's memory
         server; the destination becomes the new home."""
-        if self.residency is not Residency.PARTIAL:
+        if self.residency is not _PARTIAL_RESIDENCY:
             raise MigrationError(f"VM {self.vm_id} is not partial")
         self.residency = Residency.FULL
         self.host_id = destination_id
@@ -231,7 +237,7 @@ class VirtualMachine:
 
     def full_migrate(self, destination_id: int) -> None:
         """Live-migrate the full VM; the destination becomes the new home."""
-        if self.residency is not Residency.FULL:
+        if self.residency is not _FULL_RESIDENCY:
             raise MigrationError(
                 f"VM {self.vm_id} must be full to live-migrate"
             )
@@ -241,7 +247,7 @@ class VirtualMachine:
     def grow_working_set(self, delta_mib: float) -> None:
         """Grow a partial VM's resident working set (demand faults), capped
         at the full allocation."""
-        if self.residency is not Residency.PARTIAL:
+        if self.residency is not _PARTIAL_RESIDENCY:
             raise MigrationError(f"VM {self.vm_id} is not partial")
         if delta_mib < 0.0:
             raise MigrationError("working-set growth must be non-negative")
