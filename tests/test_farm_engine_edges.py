@@ -1,9 +1,14 @@
-"""Edge cases in the farm engine's power-state and timing machinery."""
+"""Edge cases in the farm engine's power-state and timing machinery,
+and the migration commit's draws per stream."""
+
+import pytest
 
 from repro.cluster import PowerState
 from repro.core import FULL_TO_PARTIAL, ONLY_PARTIAL
 from repro.farm import FarmConfig, FarmSimulation
-from repro.traces import DayType, TraceEnsemble, UserDayTrace
+from repro.faults import FaultProfile
+from repro.migration.traffic import TrafficCategory
+from repro.traces import DayType, TraceEnsemble, UserDayTrace, generate_ensemble
 from repro.units import INTERVALS_PER_DAY
 from repro.vm import WorkingSetSampler
 from repro.vm.state import Residency
@@ -195,3 +200,69 @@ class TestHorizonGarbageCollection:
         assert with_gc.counters == without_gc.counters
         assert with_gc.delays == without_gc.delays
         assert with_gc.powered_hosts == without_gc.powered_hosts
+
+
+def commit_day(policy, faults=FaultProfile.none()):
+    """A day on the 4+2x4 farm, where every migration kind commits."""
+    config = FarmConfig(
+        home_hosts=4, consolidation_hosts=2, vms_per_host=4, faults=faults
+    )
+    return FarmSimulation(
+        config, policy,
+        generate_ensemble(config.total_vms, DayType.WEEKDAY, seed=3),
+        seed=1,
+    )
+
+
+class TestCommitDrawContract:
+    """Each commit draws its abort (when that fault class is on), then
+    its descriptor, then its upload or reintegration volume; a closed
+    consolidation episode draws its demand-fault volume, then its page
+    timeouts (when that class is on).  Pinned per stream here."""
+
+    #: The traffic categories whose every ledger event is one sampled
+    #: volume, hence one Gaussian on the ``traffic`` stream.
+    SAMPLED = (
+        TrafficCategory.PARTIAL_DESCRIPTOR,
+        TrafficCategory.MEMORY_UPLOAD_SAS,
+        TrafficCategory.REINTEGRATION,
+        TrafficCategory.ON_DEMAND_PAGES,
+    )
+
+    @pytest.mark.parametrize("policy", [
+        "OnlyPartial", "Default", "FulltoPartial", "NewHome",
+        "GammaRobust@3",
+    ])
+    def test_one_traffic_gauss_per_sampled_volume(self, policy):
+        simulation = commit_day(policy)
+        traffic_rng = simulation.streams.get("traffic")
+        gauss = traffic_rng.gauss
+        calls = []
+
+        def counted_gauss(mu, sigma):
+            calls.append(mu)
+            return gauss(mu, sigma)
+
+        traffic_rng.gauss = counted_gauss
+        traffic = simulation.run().traffic
+        sampled = sum(traffic.events(category) for category in self.SAMPLED)
+        assert len(calls) == sampled > 0
+
+    @pytest.mark.parametrize("probability, drawn", [
+        ("migration_abort_prob", "faults.migration"),
+        ("page_timeout_prob", "faults.pages"),
+    ])
+    def test_a_fault_class_draws_only_its_own_stream(
+        self, probability, drawn
+    ):
+        simulation = commit_day(
+            "Default", FaultProfile(name="one-class", **{probability: 0.2})
+        )
+        names = ("faults.migration", "faults.pages", "faults.wake")
+        before = {
+            name: simulation.streams.get(name).getstate() for name in names
+        }
+        simulation.run()
+        for name in names:
+            moved = simulation.streams.get(name).getstate() != before[name]
+            assert moved == (name == drawn), name

@@ -8,7 +8,11 @@ mutation and, under ``REPRO_DEBUG_INDEXES``, at every interval of a
 farm day.
 """
 
+import functools
+import os
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -17,15 +21,60 @@ from repro.core import FULL_TO_PARTIAL
 from repro.core.placement import _ShadowCapacity
 from repro.core.plan import MigrationMode, PlannedMigration
 from repro.farm import FarmConfig, FarmSimulation
+from repro.farm.simulation import _MOVE_KINDS
 from repro.faults import fault_profile_by_name
 from repro.migration.traffic import TrafficLedger
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import RecordingTracer, Tracer
 from repro.traces import DayType, TraceEnsemble, UserDayTrace
 from repro.traces.edges import ActivityEdgeSchedule
 from repro.traces.sampler import generate_ensemble
 from repro.units import INTERVALS_PER_DAY
 from repro.vm import IntervalClock, VirtualMachine
 from repro.vm.state import Residency
+
+
+class KindCounter(Tracer):
+    """Counts committed migrations by kind from their ``migration.*``
+    events; tracing changes no result (differential-tested)."""
+
+    enabled = True
+
+    def __init__(self):
+        self.kinds = Counter()
+
+    def event(self, name, category="event", **args):
+        if name.startswith("migration."):
+            self.kinds[name[len("migration."):]] += 1
+
+
+#: The debug battery's farm shapes: (home hosts, consolidation hosts,
+#: VMs per host).  The 3+1x3 farm never compacts a consolidation host;
+#: with two of them the 4+2x4 farm commits every migration kind.
+DEBUG_SHAPES = ((3, 1, 3), (4, 2, 4))
+DEBUG_POLICIES = (
+    "OnlyPartial", "Default", "FulltoPartial", "NewHome", "GammaRobust@3",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def debug_index_day(shape, policy, faults):
+    """One day under ``REPRO_DEBUG_INDEXES``, which rescans every index
+    at every interval boundary: its migration aborts and its committed
+    migrations by kind (each day runs once per session)."""
+    homes, consolidation, per_host = shape
+    config = FarmConfig(
+        home_hosts=homes, consolidation_hosts=consolidation,
+        vms_per_host=per_host, faults=fault_profile_by_name(faults),
+    )
+    counter = KindCounter()
+    with mock.patch.dict(os.environ, {"REPRO_DEBUG_INDEXES": "1"}):
+        simulation = FarmSimulation(
+            config, policy, small_ensemble(config.total_vms, seed=3),
+            seed=1, tracer=counter,
+        )
+    assert simulation._debug_indexes
+    simulation.run()
+    return simulation.faults.migration_aborts, counter.kinds
 
 
 def small_ensemble(users, seed=0):
@@ -174,22 +223,24 @@ class TestEdgeScheduleBattery:
                 assert schedule.activity_at(vm_id, index) == active
 
     @pytest.mark.parametrize("faults", ["none", "heavy"])
-    @pytest.mark.parametrize("policy", [
-        "OnlyPartial", "Default", "FulltoPartial", "NewHome",
-        "GammaRobust@3",
-    ])
-    def test_debug_index_mode_stays_clean(self, monkeypatch, policy, faults):
+    @pytest.mark.parametrize("policy", DEBUG_POLICIES)
+    def test_debug_index_mode_stays_clean(self, policy, faults):
         # Every shared move, and under heavy faults its rollback, runs
-        # under the per-interval rescan.
-        monkeypatch.setenv("REPRO_DEBUG_INDEXES", "1")
-        config = FarmConfig(
-            home_hosts=3, consolidation_hosts=1, vms_per_host=3,
-            faults=fault_profile_by_name(faults),
-        )
-        simulation = FarmSimulation(
-            config, policy, small_ensemble(9, seed=3), seed=1
-        )
-        assert simulation._debug_indexes
-        simulation.run()  # verifies indexes at every interval boundary
-        if faults == "heavy":
-            assert simulation.faults.migration_aborts > 0
+        # under the per-interval rescan, on every farm shape.
+        for shape in DEBUG_SHAPES:
+            aborts, _kinds = debug_index_day(shape, policy, faults)
+            if faults == "heavy":
+                assert aborts > 0
+
+    def test_debug_index_battery_commits_every_kind(self):
+        # The battery is only as wide as the commits it makes: across
+        # its shapes, policies and fault profiles every migration kind
+        # runs under the rescan.
+        committed = Counter()
+        for shape in DEBUG_SHAPES:
+            for policy in DEBUG_POLICIES:
+                for faults in ("none", "heavy"):
+                    committed.update(
+                        debug_index_day(shape, policy, faults)[1]
+                    )
+        assert set(committed) == set(_MOVE_KINDS)
