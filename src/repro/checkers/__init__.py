@@ -17,10 +17,13 @@ packs check one module at a time:
 * ``API1xx`` — every ``__all__`` entry resolves and every public
   ``__init__`` symbol is exported exactly once.
 
-Three packs in :mod:`repro.checkers.flow` prove the cross-module
-properties a single module cannot show: RNG-stream attribution through
-the call graph (``FLOW1xx``), index-write encapsulation (``ENC2xx``),
-and trace purity (``TRC3xx``).
+Three packs in :mod:`repro.checkers.flow` check what a single module
+cannot show: every draw attributes to a named stream through the call
+graph (``FLOW101``), no method hands out a raw index container
+(``ENC202``), and no tracer emission's result is used (``TRC301``).
+Index drift and tracing that steers a run are caught at run time
+instead: the ``REPRO_DEBUG_INDEXES`` rescan recounts every incremental
+index, and traced and untraced runs are compared result for result.
 
 ``python -m repro.checkers [paths]`` runs all seven packs in one pass
 that parses and walks each file once; suppress one finding with a

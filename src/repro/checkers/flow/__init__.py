@@ -1,5 +1,5 @@
-"""Whole-program flow analysis: RNG discipline, index encapsulation,
-trace purity.
+"""Whole-program flow analysis: RNG attribution, raw index containers,
+tracer emissions used as values.
 
 Layered like a small compiler front half:
 
@@ -9,7 +9,7 @@ Layered like a small compiler front half:
 - :mod:`~repro.checkers.flow.project` — linking, type resolution, the
   RNG-attribution fixpoint, and draw/tracer classification.
 - :mod:`~repro.checkers.flow.rules_flow` / ``rules_enc`` / ``rules_trc``
-  — the FLOW1xx / ENC2xx / TRC3xx packs.  They are
+  — FLOW101, ENC202 and TRC301, one rule each.  They are
   :class:`~repro.checkers.base.ProjectRule` classes in the one rule
   registry, and :mod:`repro.checkers.driver` runs them in the same pass
   as the per-module packs.

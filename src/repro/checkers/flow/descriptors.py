@@ -1,9 +1,9 @@
 """Value descriptors: the abstract domain of the flow analysis.
 
 A *descriptor* is a small immutable tree (nested tuples) approximating
-where a runtime value came from, precise enough to answer the three
-questions the FLOW/ENC/TRC packs ask — "which RNG stream is this?",
-"which attribute does this alias?", "is this a tracer?".
+where a runtime value came from, precise enough to answer the questions
+the FLOW/ENC/TRC packs ask — "which RNG stream is this?", "which
+attribute is returned?", "is this a tracer?".
 
 Grammar (first element is the tag)::
 
@@ -68,24 +68,6 @@ DRAW_METHODS = frozenset(
         "uniform",
         "vonmisesvariate",
         "weibullvariate",
-    }
-)
-
-#: Container methods that mutate their receiver in place; a call to one
-#: of these on an index-backing attribute counts as an index write.
-MUTATING_METHODS = frozenset(
-    {
-        "add",
-        "append",
-        "clear",
-        "discard",
-        "extend",
-        "insert",
-        "pop",
-        "popitem",
-        "remove",
-        "setdefault",
-        "update",
     }
 )
 

@@ -1,21 +1,19 @@
-"""Whole-program linking: symbol table, call graph, effect fixpoint.
+"""Whole-program linking: symbol table, call resolution, RNG fixpoint.
 
 :class:`ProjectContext` consumes one :class:`ModuleSummary` per file and
 links them: classes resolve to dotted names with a linearised base-class
 order, descriptors resolve to types via annotations and constructor
-sites, and RNG attribution propagates along call edges and attribute
-assignments to a fixpoint.  The FLOW/ENC/TRC rule packs then ask linked
-questions — "which stream does this draw use?", "is this callee
-transitively stochastic?", "is this receiver a tracer?" — without
+sites, and RNG attribution propagates along resolved calls and
+attribute assignments to a fixpoint.  The FLOW/ENC/TRC rule packs then
+ask linked questions — "which stream does this draw use?", "which
+class owns this method?", "is this receiver a tracer?" — without
 touching an AST.
 
 Soundness posture: the analysis is *conservative for the questions the
 rules ask*.  A draw whose receiver cannot be proven attributed is
 flagged (FLOW101 errs toward noise; an accepted one carries a reviewed
-``# repro: noqa[FLOW101]``); an index write whose receiver type is
-unknown counts against the sanctioned-mutator set; a call edge that
-cannot be resolved simply does not propagate attribution (never invents
-it).
+``# repro: noqa[FLOW101]``), and a call that cannot be resolved simply
+does not propagate attribution (never invents it).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from typing import (
 
 from repro.checkers.flow.descriptors import (
     DRAW_METHODS,
-    OPAQUE,
     SELF,
     Desc,
     TRACER_METHODS,
@@ -124,13 +121,10 @@ class ProjectContext:
         self.return_rng: Dict[FuncKey, Set[str]] = {}
         #: parameters that received at least one internal call binding.
         self.bound_params: Set[Tuple[FuncKey, str]] = set()
-        #: call edges discovered while classifying: caller -> callees.
-        self.edges: Dict[FuncKey, Set[FuncKey]] = {}
 
         # Classification results.
         self.draws: List[DrawSite] = []
         self.tracer_calls: List[TracerCall] = []
-        self.transitive_draws: Set[FuncKey] = set()
 
         self._link()
         self._infer_attr_types()
@@ -177,10 +171,9 @@ class ProjectContext:
             if linked is None:
                 continue
             for write in func.attr_writes:
-                if write.kind == "assign" and write.recv == SELF:
+                if write.recv == SELF:
                     linked.attr_values.setdefault(write.attr, []).append(
-                        (write.value if write.value is not None else OPAQUE,
-                         func_key)
+                        (write.value, func_key)
                     )
         # Tracer classes: Tracer itself plus everything that inherits it.
         for dotted in self.classes:
@@ -328,11 +321,7 @@ class ProjectContext:
                 base = base[1]
             if base is not None and base[0] == "cls":
                 return self._attr_type(base[1], desc[2])
-            # A module attribute: ``random.Random`` etc.
-            target = self._resolve_name_target(module, desc)
-            if target is not None and target[0] == "class":
-                return None  # a class object, not an instance
-            return None
+            return None  # e.g. a module attribute such as ``random.Random``
         if tag == "global":
             target = self._resolve_name_target(module, desc)
             if target is not None and target[0] == "value":
@@ -541,14 +530,9 @@ class ProjectContext:
         if target is not None:
             kind, payload = target
             if kind == "class":
-                if payload == RNG_CLASS:
-                    if args or desc[3]:
-                        return {f"seeded:{module}:{line}"}
-                    return set()
-                init = self.find_method(payload, "__init__")
-                if init is not None:
-                    # Constructors do not *return* an RNG.
-                    return set()
+                # Only a seeded ``random.Random(...)`` constructs an RNG.
+                if payload == RNG_CLASS and (args or desc[3]):
+                    return {f"seeded:{module}:{line}"}
                 return set()
             if kind == "func":
                 return set(self.return_rng.get(payload, ()))
@@ -728,7 +712,6 @@ class ProjectContext:
         return False
 
     def _classify(self) -> None:
-        draw_owners: Set[FuncKey] = set()
         for func_key, func in self.functions.items():
             for call in func.calls:
                 callee = call.callee
@@ -752,7 +735,7 @@ class ProjectContext:
                             recv, method = ("global", "random"), name
 
                 # Emission first: a resolvable Tracer.event target is
-                # still an emission site, not a plain call edge.
+                # still an emission site, not a plain call.
                 if (
                     method is not None
                     and recv is not None
@@ -763,21 +746,14 @@ class ProjectContext:
                         TracerCall(func=func_key, call=call, method=method)
                     )
                     continue
+                if method not in DRAW_METHODS or recv is None:
+                    continue
+                # A call resolved to a project function or class is
+                # not a draw.
                 call_desc = (
                     "call", call.callee, call.args, call.kwargs, call.line
                 )
-                target = self._resolve_call_target(call_desc, func_key)
-                if target is not None and target[0] == "func":
-                    self.edges.setdefault(func_key, set()).add(target[1])
-                    continue
-                if target is not None and target[0] == "class":
-                    init = self.find_method(target[1], "__init__")
-                    if init is not None:
-                        self.edges.setdefault(func_key, set()).add(init)
-                    continue
-                if method is None or recv is None:
-                    continue
-                if method not in DRAW_METHODS:
+                if self._resolve_call_target(call_desc, func_key):
                     continue
                 recv_type = self.resolve_type(recv, func_key)
                 if recv_type is not None and recv_type[0] == "optional":
@@ -799,19 +775,6 @@ class ProjectContext:
                         external=external,
                     )
                 )
-                draw_owners.add(func_key)
-        # Transitive draw reachability.
-        self.transitive_draws = set(draw_owners)
-        for _ in range(_MAX_ITERATIONS):
-            changed = False
-            for caller, callees in self.edges.items():
-                if caller in self.transitive_draws:
-                    continue
-                if any(c in self.transitive_draws for c in callees):
-                    self.transitive_draws.add(caller)
-                    changed = True
-            if not changed:
-                break
 
     def _is_external_rng_param(
         self, desc: Desc, func_key: Optional[FuncKey]
@@ -837,51 +800,6 @@ class ProjectContext:
                 and ann[1] == ("cls", RNG_CLASS)
             )
             return ann_ok and (func_key, root[1]) not in self.bound_params
-        return False
-
-    # ------------------------------------------------------------------
-    # Guard classification (for FLOW103)
-    # ------------------------------------------------------------------
-
-    def tracer_guard_lines(self, func_key: FuncKey) -> Dict[int, Any]:
-        """Confirmed tracer-enabled guards in a function, by line."""
-        func = self.functions.get(func_key)
-        if func is None:
-            return {}
-        confirmed: Dict[int, Any] = {}
-        for guard in func.guards:
-            if self._guard_is_tracer(guard.test, func_key):
-                confirmed[guard.line] = guard
-        return confirmed
-
-    def _guard_is_tracer(
-        self, test: Desc, func_key: FuncKey, depth: int = 0
-    ) -> bool:
-        if depth > _RESOLVE_DEPTH or not isinstance(test, tuple) or not test:
-            return False
-        tag = test[0]
-        if tag == "getattr" and test[2] == "enabled":
-            return self.is_tracerish(test[1], func_key)
-        if tag == "union":
-            return any(
-                self._guard_is_tracer(b, func_key, depth + 1) for b in test[1]
-            )
-        if tag == "selfattr":
-            owner = self.owner_class(func_key)
-            if owner is None:
-                return False
-            for cls in self.mro(owner):
-                linked = self.classes.get(cls)
-                if linked is None:
-                    continue
-                for value_desc, value_func in linked.attr_values.get(
-                    test[1], []
-                ):
-                    if self._guard_is_tracer(
-                        value_desc, value_func, depth + 1
-                    ):
-                        return True
-            return False
         return False
 
     # ------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Per-module effect summaries: one walk over an already parsed module.
 
 A :class:`ModuleSummary` captures everything the project-wide rules need
-from one file — functions with their call sites, attribute writes,
-return values, tracer guards, and zero-probability guards — as
-descriptor trees (see :mod:`repro.checkers.flow.descriptors`).  The lint
+from one file — functions with their call sites, plain attribute
+assignments and return values — as descriptor trees (see
+:mod:`repro.checkers.flow.descriptors`).  The lint
 driver builds it with :func:`summarize_tree` from the same tree the
 module rules check, so no file is parsed twice; the whole-program link
 in :mod:`repro.checkers.flow.project` then runs over every summary.
@@ -38,34 +38,18 @@ class CallSite:
     callee: Desc
     args: Tuple[Desc, ...]
     kwargs: Tuple[Tuple[str, Desc], ...]
-    order: int
     #: "expr" (statement expression), "with" (context-manager item), or
     #: "value" (result feeds an expression/assignment).
     role: str
-    #: Line of the innermost enclosing tracer-looking guard, if any.
-    tguard: Optional[int] = None
 
 
 @dataclasses.dataclass
 class AttrWrite:
-    """One attribute store: plain, augmented, subscript, or via alias."""
+    """One plain attribute assignment, ``<recv>.<attr> = <value>``."""
 
-    line: int
-    col: int
     attr: str
     recv: Desc
-    kind: str  # "assign" | "aug" | "subscript" | "subscript-aug"
-    value: Optional[Desc] = None  # only for kind == "assign"
-
-
-@dataclasses.dataclass
-class GuardInfo:
-    """One ``if`` whose test might be a tracer-enabled guard."""
-
-    line: int
-    test: Desc
-    has_else: bool
-    else_callees: Tuple[Desc, ...]
+    value: Desc
 
 
 @dataclasses.dataclass
@@ -83,11 +67,6 @@ class FuncSummary:
     calls: List[CallSite] = dataclasses.field(default_factory=list)
     attr_writes: List[AttrWrite] = dataclasses.field(default_factory=list)
     returns: List[Tuple[int, Desc]] = dataclasses.field(default_factory=list)
-    guards: List[GuardInfo] = dataclasses.field(default_factory=list)
-    #: ``(order, line, attr)`` for ``if <attr>_prob <= 0: return`` guards.
-    prob_guards: List[Tuple[int, int, str]] = dataclasses.field(
-        default_factory=list
-    )
 
 
 @dataclasses.dataclass
@@ -209,51 +188,6 @@ def _ann_to_type(
 # The extraction pass
 # ---------------------------------------------------------------------------
 
-_TRACE_HINT = "trace"
-
-
-def _test_looks_tracerish(test: ast.AST, env: Dict[str, Desc]) -> bool:
-    """Cheap syntactic filter: could this ``if`` test be a tracer guard?
-
-    The project link makes the final call by resolving the test
-    descriptor; this filter just bounds how many guards get recorded.
-    """
-    for node in ast.walk(test):
-        if isinstance(node, ast.Attribute):
-            if node.attr == "enabled" or _TRACE_HINT in node.attr:
-                return True
-        elif isinstance(node, ast.Name):
-            if _TRACE_HINT in node.id:
-                return True
-            bound = env.get(node.id)
-            if (
-                isinstance(bound, tuple)
-                and len(bound) == 3
-                and bound[0] == "getattr"
-                and bound[2] == "enabled"
-            ):
-                return True
-    return False
-
-
-def _prob_guard_attr(test: ast.AST) -> Optional[str]:
-    """The ``*_prob`` attribute compared against zero, if this test has one."""
-    for node in ast.walk(test):
-        if not isinstance(node, ast.Compare) or len(node.ops) != 1:
-            continue
-        sides = [node.left, node.comparators[0]]
-        attr = None
-        zeroish = False
-        for side in sides:
-            if isinstance(side, ast.Attribute) and side.attr.endswith("_prob"):
-                attr = side.attr
-            elif isinstance(side, ast.Constant) and side.value in (0, 0.0):
-                zeroish = True
-        if attr and zeroish and isinstance(node.ops[0], (ast.LtE, ast.Lt, ast.Eq)):
-            return attr
-    return None
-
-
 class _FunctionWalker:
     """Walks one function body, building its :class:`FuncSummary`."""
 
@@ -266,8 +200,6 @@ class _FunctionWalker:
         self.builder = builder
         self.summary = summary
         self.env = env
-        self.order = 0
-        self.tguard_stack: List[int] = []
 
     # -- statement walk --------------------------------------------------
 
@@ -276,20 +208,19 @@ class _FunctionWalker:
             self._walk_stmt(stmt)
 
     def _walk_stmt(self, stmt: ast.stmt) -> None:
-        self.order += 1
         if isinstance(stmt, ast.Assign):
             value_desc = self._visit_expr(stmt.value)
             for target in stmt.targets:
-                self._bind_target(target, value_desc, stmt)
+                self._bind_target(target, value_desc)
         elif isinstance(stmt, ast.AnnAssign):
             value_desc = (
                 self._visit_expr(stmt.value) if stmt.value is not None else OPAQUE
             )
             self._record_ann(stmt)
-            self._bind_target(stmt.target, value_desc, stmt, aug=False)
+            self._bind_target(stmt.target, value_desc)
         elif isinstance(stmt, ast.AugAssign):
             self._visit_expr(stmt.value)
-            self._bind_target(stmt.target, OPAQUE, stmt, aug=True)
+            self._bind_target(stmt.target, OPAQUE, aug=True)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 desc = self._visit_expr(stmt.value)
@@ -297,7 +228,9 @@ class _FunctionWalker:
         elif isinstance(stmt, ast.Expr):
             self._visit_expr(stmt.value, role="expr")
         elif isinstance(stmt, ast.If):
-            self._walk_if(stmt)
+            self._visit_expr(stmt.test)
+            self.walk_body(stmt.body)
+            self.walk_body(stmt.orelse)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             iter_desc = self._visit_expr(stmt.iter)
             self._bind_loop_target(stmt.target, iter_desc)
@@ -343,98 +276,29 @@ class _FunctionWalker:
             self.builder.record_import(stmt)
         # Pass/Break/Continue/Global/Nonlocal: nothing to record.
 
-    def _walk_if(self, stmt: ast.If) -> None:
-        self._visit_expr(stmt.test)
-        prob_attr = _prob_guard_attr(stmt.test)
-        if prob_attr and stmt.body and isinstance(
-            stmt.body[0], (ast.Return, ast.Raise)
-        ):
-            self.summary.prob_guards.append(
-                (self.order, stmt.lineno, prob_attr)
-            )
-        tracerish = _test_looks_tracerish(stmt.test, self.env)
-        if tracerish:
-            else_callees: List[Desc] = []
-            for node in stmt.orelse:
-                for sub in walk_shallow(node):
-                    if isinstance(sub, ast.Call):
-                        else_callees.append(eval_expr(sub.func, self.env))
-            self.summary.guards.append(
-                GuardInfo(
-                    line=stmt.lineno,
-                    test=eval_expr(stmt.test, self.env),
-                    has_else=bool(stmt.orelse),
-                    else_callees=tuple(else_callees),
-                )
-            )
-            self.tguard_stack.append(stmt.lineno)
-            self.walk_body(stmt.body)
-            self.tguard_stack.pop()
-            self.walk_body(stmt.orelse)
-        else:
-            self.walk_body(stmt.body)
-            self.walk_body(stmt.orelse)
-
     # -- bindings and writes ---------------------------------------------
 
     def _bind_target(
-        self,
-        target: ast.AST,
-        value_desc: Desc,
-        stmt: ast.stmt,
-        aug: bool = False,
+        self, target: ast.AST, value_desc: Desc, aug: bool = False
     ) -> None:
         if isinstance(target, ast.Name):
-            if aug:
-                self.env[target.id] = OPAQUE
-            else:
-                self.env[target.id] = value_desc
+            self.env[target.id] = value_desc
         elif isinstance(target, ast.Attribute):
-            recv = eval_expr(target.value, self.env)
-            self.summary.attr_writes.append(
-                AttrWrite(
-                    line=target.lineno,
-                    col=target.col_offset + 1,
-                    attr=target.attr,
-                    recv=recv,
-                    kind="aug" if aug else "assign",
-                    value=None if aug else value_desc,
+            if not aug:
+                self.summary.attr_writes.append(
+                    AttrWrite(
+                        attr=target.attr,
+                        recv=eval_expr(target.value, self.env),
+                        value=value_desc,
+                    )
                 )
-            )
         elif isinstance(target, ast.Subscript):
-            self._record_subscript_write(target, aug)
+            self._visit_expr(target.slice)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._bind_target(elt, OPAQUE, stmt, aug=aug)
+                self._bind_target(elt, OPAQUE, aug=aug)
         elif isinstance(target, ast.Starred):
-            self._bind_target(target.value, OPAQUE, stmt, aug=aug)
-
-    def _record_subscript_write(self, target: ast.Subscript, aug: bool) -> None:
-        """``X.attr[i] = v`` or ``alias[i] = v`` where alias binds X.attr."""
-        base = target.value
-        attr: Optional[str] = None
-        recv: Desc = OPAQUE
-        if isinstance(base, ast.Attribute):
-            attr = base.attr
-            recv = eval_expr(base.value, self.env)
-        elif isinstance(base, ast.Name):
-            bound = self.env.get(base.id)
-            if isinstance(bound, tuple) and bound:
-                if bound[0] == "selfattr":
-                    attr, recv = bound[1], SELF
-                elif bound[0] == "getattr":
-                    attr, recv = bound[2], bound[1]
-        if attr is not None:
-            self.summary.attr_writes.append(
-                AttrWrite(
-                    line=target.lineno,
-                    col=target.col_offset + 1,
-                    attr=attr,
-                    recv=recv,
-                    kind="subscript-aug" if aug else "subscript",
-                )
-            )
-        self._visit_expr(target.slice)
+            self._bind_target(target.value, OPAQUE, aug=aug)
 
     def _bind_loop_target(self, target: ast.AST, iter_desc: Desc) -> None:
         if isinstance(target, ast.Name):
@@ -487,13 +351,7 @@ class _FunctionWalker:
                             for kw in sub.keywords
                             if kw.arg is not None
                         ),
-                        order=self.order,
                         role=call_role,
-                        tguard=(
-                            self.tguard_stack[-1]
-                            if self.tguard_stack
-                            else None
-                        ),
                     )
                 )
             elif isinstance(sub, ast.Lambda):

@@ -10,8 +10,9 @@ no run-time check catches before the line runs.
 
 The rest of each machine is guarded where it changes: the
 ``Host.power_state`` setter checks every power transition against the
-declared table, and ENC201 names the only methods that may write VM
-activity, VM residency and the host's power state.
+declared table, and under ``REPRO_DEBUG_INDEXES`` the engine checks each
+VM's activity and idle streak against its trace, and every host's
+occupancy against a recount, at every interval.
 """
 
 from __future__ import annotations

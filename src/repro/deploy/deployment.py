@@ -145,14 +145,23 @@ class Deployment:
 
     def check_consistency(self) -> None:
         """The manager's shadow must agree with ground truth about VM
-        placement and host power (used by tests; tolerant of messages
-        still in flight only if the caller quiesced the bus first)."""
+        placement, residency and resident memory, and host power (used
+        by tests; tolerant of messages still in flight only if the
+        caller quiesced the bus first)."""
         for vmid, shadow_vm in self.manager.inventory.vms.items():
             real_host = self.find_vm_host(vmid)
             assert real_host is not None, f"VM {vmid} vanished"
             assert real_host.host_id == shadow_vm.host_id, (
                 f"VM {vmid}: manager thinks host {shadow_vm.host_id}, "
                 f"actually on {real_host.host_id}"
+            )
+            vm = real_host.get_vm(vmid)
+            assert (vm.residency, vm.resident_mib) == (
+                shadow_vm.residency, shadow_vm.resident_mib
+            ), (
+                f"VM {vmid}: manager thinks {shadow_vm.residency.value} "
+                f"with {shadow_vm.resident_mib} MiB resident, actually "
+                f"{vm.residency.value} with {vm.resident_mib} MiB"
             )
         for host_id, host in self.hosts.items():
             shadow = self.manager.inventory.cluster.host(host_id)

@@ -272,6 +272,11 @@ class FarmSimulation:
         self._away_full: Dict[int, Set[int]] = {}
         self._partial_vms: Set[int] = set()
         self._debug_indexes = bool(os.environ.get("REPRO_DEBUG_INDEXES"))
+        #: Each VM's idle streak counted eagerly from its trace, which
+        #: the debug rescan checks the clock-anchored streaks against.
+        self._debug_streaks = (
+            [0] * config.total_vms if self._debug_indexes else None
+        )
         #: Hosts whose power draw must be re-evaluated before the current
         #: event callback returns (see _refresh_power/_flush_power).
         self._power_dirty: Set[int] = set()
@@ -396,7 +401,8 @@ class FarmSimulation:
         self._flush_power()
         if self._debug_indexes:
             self.cluster.verify_indexes()
-            self._verify_vm_indexes()
+            self.cluster.check_invariants()
+            self._verify_vm_indexes(index)
 
     def _run_planning(self, now: float) -> None:
         """One periodic planning pass: exchanges, then consolidation."""
@@ -445,8 +451,9 @@ class FarmSimulation:
                 active_count -= 1
         self._active_count = active_count
 
-    def _verify_vm_indexes(self) -> None:
-        """Debug cross-check: indexes must equal a from-scratch rescan."""
+    def _verify_vm_indexes(self, index: int) -> None:
+        """Debug cross-check: indexes must equal a from-scratch rescan,
+        and each VM's activity and idle streak its trace at ``index``."""
         partial = {
             vm_id
             for vm_id, vm in self.vms.items()
@@ -471,6 +478,16 @@ class FarmSimulation:
         assert away == indexed, (
             f"away-full index drifted: {indexed} vs rescanned {away}"
         )
+        streaks = self._debug_streaks
+        for vm_id, trace in enumerate(self.ensemble.traces):
+            active = trace.intervals[index]
+            streak = streaks[vm_id] = 0 if active else streaks[vm_id] + 1
+            vm = self.vms[vm_id]
+            assert vm.is_active == active and vm.idle_intervals == streak, (
+                f"VM {vm_id} idle streak drifted: active={vm.is_active}, "
+                f"streak {vm.idle_intervals} vs trace active={active}, "
+                f"streak {streak}"
+            )
 
     def _collect_stale_horizons(self, now: float) -> None:
         """Drop scheduler horizons and settle marks that already passed.

@@ -57,7 +57,7 @@ class TestFramework:
     def test_all_seven_packs_registered(self):
         packs = {pack_of(cls.rule_id) for cls in all_rules()}
         assert packs == {"DET", "UNIT", "SM", "API", "FLOW", "ENC", "TRC"}
-        assert len(all_rules()) == 18
+        assert len(all_rules()) == 14
 
     def test_rules_by_pack_prefix(self):
         det = rules_by_id(["DET"])
@@ -303,8 +303,9 @@ class TestStateMachineRules:
     """SM102 is the one lint-time state-machine rule.
 
     Power transitions are checked by the ``Host.power_state`` setter at
-    run time (``tests/test_cluster_host.py``), and ENC201 names the only
-    writers of VM activity and residency (``tests/test_flow_rules.py``).
+    run time (``tests/test_cluster_host.py``), and VM activity and
+    residency by the ``REPRO_DEBUG_INDEXES`` rescan
+    (``tests/test_perf_hotpath.py``).
     """
 
     def test_sm102_unknown_member(self):
@@ -437,7 +438,10 @@ class TestCli:
         out = capsys.readouterr().out
         for rid in ("DET101", "UNIT101", "SM102", "API101"):
             assert rid in out
-        for retired in ("SM101", "SM103", "SM104", "TRC302"):
+        for retired in (
+            "SM101", "SM103", "SM104", "TRC302",
+            "ENC201", "TRC303", "FLOW102", "FLOW103",
+        ):
             assert retired not in out
 
 
@@ -544,4 +548,4 @@ class TestOnePass:
         ] == [("DET101", 3), ("FLOW101", 7)]
         sarif_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
         assert sarif_ids == sorted(cls.rule_id for cls in all_rules())
-        assert len(sarif_ids) == 18
+        assert len(sarif_ids) == 14

@@ -1,4 +1,4 @@
-"""Extraction + linking coverage: summaries, call graph, RNG fixpoint.
+"""Extraction + linking coverage: summaries, call resolution, RNG fixpoint.
 
 Exercises the parts of :mod:`repro.checkers.flow` that the rule-level
 tests take for granted: decorated functions, lambdas, self-dispatch
@@ -59,12 +59,14 @@ class TestExtraction:
             )
         )
         key = ("repro.farm.demo", "draws")
-        assert key in ctx.transitive_draws
-        assert ("repro.farm.demo", "caller") in ctx.transitive_draws
-        # The seeded Random flowed into the decorated callee's param.
+        # The seeded Random flowed into the decorated callee's param,
+        # so the draw there is attributed.
         assert any(
             t.startswith("seeded:") for t in ctx.param_rng[(key, "rng")]
         )
+        [draw] = ctx.draws
+        assert draw.func == key
+        assert any(t.startswith("seeded:") for t in draw.tokens)
 
     def test_lambda_gets_its_own_summary(self):
         summary = summarize(
@@ -153,9 +155,8 @@ class TestLinking:
             "repro.farm.sub",
             "Sub.step",
         )
-        # Base.template calls self.step(); the subclass override draws,
-        # so both the override and the base template are stochastic.
-        assert ("repro.farm.sub", "Sub.step") in ctx.transitive_draws
+        # The override's draw is classified as one, in the override.
+        assert [d.func for d in ctx.draws] == [("repro.farm.sub", "Sub.step")]
 
     def test_call_cycle_reaches_fixpoint(self):
         ctx = link(
@@ -177,11 +178,12 @@ class TestLinking:
             )
         )
         module = "repro.farm.demo"
-        for qual in ("ping", "pong", "entry"):
-            assert (module, qual) in ctx.transitive_draws
         # Attribution propagated around the ping<->pong cycle.
         assert ctx.param_rng[((module, "ping"), "rng")]
         assert ctx.param_rng[((module, "pong"), "rng")]
+        [draw] = ctx.draws
+        assert draw.func == (module, "ping")
+        assert any(t.startswith("seeded:") for t in draw.tokens)
 
     def test_union_default_rng_attributes_both_branches(self):
         ctx = link(

@@ -5,7 +5,9 @@ records it, the hot per-VM/per-host/per-migration objects reject stray
 attributes, and randomized property batteries show the incremental
 indexes agree exactly with from-scratch recomputation, at every
 mutation and, under ``REPRO_DEBUG_INDEXES``, at every interval of a
-farm day.
+farm day.  A drift battery plants one corruption per index and shows
+the rescan names it, and the control plane's consistency check catches
+an agent that diverges from the manager's inventory.
 """
 
 import functools
@@ -20,6 +22,8 @@ from repro.cluster import Cluster, Host, HostRole, PowerState
 from repro.core import FULL_TO_PARTIAL
 from repro.core.placement import _ShadowCapacity
 from repro.core.plan import MigrationMode, PlannedMigration
+from repro.deploy import Deployment, VmConfigFile
+from repro.deploy.messages import MigrationType
 from repro.farm import FarmConfig, FarmSimulation
 from repro.farm.simulation import _MOVE_KINDS
 from repro.faults import fault_profile_by_name
@@ -57,7 +61,7 @@ DEBUG_POLICIES = (
 
 
 @functools.lru_cache(maxsize=None)
-def debug_index_day(shape, policy, faults):
+def debug_index_day(shape, policy, faults, min_idle_intervals=1):
     """One day under ``REPRO_DEBUG_INDEXES``, which rescans every index
     at every interval boundary: its migration aborts and its committed
     migrations by kind (each day runs once per session)."""
@@ -65,6 +69,7 @@ def debug_index_day(shape, policy, faults):
     config = FarmConfig(
         home_hosts=homes, consolidation_hosts=consolidation,
         vms_per_host=per_host, faults=fault_profile_by_name(faults),
+        min_idle_intervals=min_idle_intervals,
     )
     counter = KindCounter()
     with mock.patch.dict(os.environ, {"REPRO_DEBUG_INDEXES": "1"}):
@@ -232,6 +237,14 @@ class TestEdgeScheduleBattery:
             if faults == "heavy":
                 assert aborts > 0
 
+    @pytest.mark.parametrize("policy", ["Default", "FulltoPartial"])
+    def test_debug_index_mode_checks_the_consumed_streak(self, policy):
+        # Only min_idle_intervals > 1 makes the planner read the idle
+        # streak; these days change with it, and run under the rescan.
+        for shape in DEBUG_SHAPES:
+            hysteresis = debug_index_day(shape, policy, "none", 3)
+            assert hysteresis != debug_index_day(shape, policy, "none")
+
     def test_debug_index_battery_commits_every_kind(self):
         # The battery is only as wide as the commits it makes: across
         # its shapes, policies and fault profiles every migration kind
@@ -244,3 +257,104 @@ class TestEdgeScheduleBattery:
                         debug_index_day(shape, policy, faults)[1]
                     )
         assert set(committed) == set(_MOVE_KINDS)
+
+
+# ---------------------------------------------------------------------------
+# Drift battery: each planted corruption is named where it is checked
+# ---------------------------------------------------------------------------
+
+
+def _toggle(ids, vm_id):
+    ids.symmetric_difference_update({vm_id})
+
+
+def _bump(obj, attr, delta):
+    setattr(obj, attr, getattr(obj, attr) + delta)
+
+
+#: index -> (corruption of a running simulation, the rescan's message).
+DRIFTS = {
+    "partial_vms": (
+        lambda sim: _toggle(sim._partial_vms, 0),
+        "partial index drifted",
+    ),
+    "away_full": (
+        lambda sim: _toggle(
+            sim._away_full.setdefault(sim.vms[0].origin_home_id, set()), 0
+        ),
+        "away-full index drifted",
+    ),
+    "powered_counts": (
+        lambda sim: _bump(sim.cluster, "_powered_home", 1),
+        "powered home index drifted",
+    ),
+    "used_mib": (
+        lambda sim: _bump(sim.cluster.host(0), "_used_mib", 1.0),
+        r"host 0: accounted [\d.]+ MiB",
+    ),
+    "full_count": (
+        lambda sim: _bump(sim.cluster.host(0), "_full_count", 1),
+        r"host 0: accounted \d+ full VMs",
+    ),
+    "partial_fraction": (
+        lambda sim: _bump(sim.cluster.host(0), "_partial_fraction", 0.5),
+        "host 0: partial fraction drifted",
+    ),
+    "idle_streak": (
+        lambda sim: _bump(sim.vms[0], "idle_intervals", 1),
+        "VM 0 idle streak drifted",
+    ),
+}
+
+
+class TestDriftBattery:
+    @pytest.mark.parametrize("index", sorted(DRIFTS))
+    def test_planted_drift_fails_the_rescan(self, index):
+        corrupt, message = DRIFTS[index]
+        config = FarmConfig(
+            home_hosts=4, consolidation_hosts=2, vms_per_host=4
+        )
+        with mock.patch.dict(os.environ, {"REPRO_DEBUG_INDEXES": "1"}):
+            simulation = FarmSimulation(
+                config, FULL_TO_PARTIAL,
+                small_ensemble(config.total_vms, seed=3), seed=1,
+            )
+        planning = simulation._run_planning
+        passes = []
+
+        def corrupting_planning(now):
+            planning(now)
+            if not passes:
+                corrupt(simulation)
+            passes.append(now)
+
+        simulation._run_planning = corrupting_planning
+        with pytest.raises(AssertionError, match=message):
+            simulation.run()
+        # The rescan at the end of the corrupted interval caught it.
+        assert len(passes) == 1
+
+    def test_daemon_working_set_drift_fails_the_consistency_check(self):
+        deployment = Deployment(
+            home_hosts=2, consolidation_hosts=1, vms_per_host_hint=2
+        )
+        agent = deployment.agents[0]
+        handle = agent._handle_migration
+        grown = []
+
+        def grow_after_migration(source, order):
+            vm = agent.host.get_vm(order.vmid)
+            handle(source, order)
+            if order.migration_type is MigrationType.PARTIAL:
+                vm.working_set_mib = order.working_set_mib * 2
+                grown.append(vm.vm_id)
+
+        agent._handle_migration = grow_after_migration
+        for vmid in (1001, 1002, 1003, 1004):
+            deployment.create_vm(
+                VmConfigFile(vmid=vmid, disk_image=f"/nfs/disks/{vmid}.img")
+            )
+        deployment.run_for(1300.0)
+        assert grown
+        with pytest.raises(AssertionError, match="MiB resident"):
+            deployment.check_consistency()
